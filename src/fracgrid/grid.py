@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -172,15 +172,6 @@ class HistoryBuffer:
         self._data[self._len] = field
         self._len += 1
 
-    def entry(self, index: int) -> np.ndarray:
-        """Read-only view of the stencil field recorded at step ``index``."""
-        index = int(index)
-        if not 0 <= index < self._len:
-            raise IndexError(f"entry {index} out of range; buffer holds {self._len}")
-        view = self._data[index]
-        view.setflags(write=False)
-        return view
-
     def block(self, lo: int, hi: int) -> np.ndarray:
         """Read-only contiguous view of entries lo..hi inclusive."""
         lo, hi = int(lo), int(hi)
@@ -192,13 +183,18 @@ class HistoryBuffer:
         view.setflags(write=False)
         return view
 
-    def gather(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Stack of entries at the given step indices (a fresh array)."""
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.size == 0:
-            raise ValueError("gather needs at least one index")
-        if idx.min() < 0 or idx.max() >= self._len:
+    def gather(self, lo: int, hi: int, stride: int) -> np.ndarray:
+        """Read-only strided view of entries lo, lo + stride, ..., hi.
+
+        This is a basic slice of the buffer, so no entry is copied.  ``stride``
+        must divide ``hi - lo``, so that the run ends exactly at ``hi``.
+        """
+        if not (0 <= lo <= hi < self._len):
             raise IndexError(
-                f"gather indices must lie in [0, {self._len - 1}]"
+                f"run [{lo}, {hi}] out of range; buffer holds {self._len}"
             )
-        return self._data[idx]
+        if stride < 1 or (hi - lo) % stride:
+            raise ValueError(f"stride {stride} does not divide the run [{lo}, {hi}]")
+        view = self._data[lo : hi + 1 : stride]
+        view.setflags(write=False)
+        return view

@@ -41,11 +41,22 @@ class MemorySchedule:
     at a join whose windows leave a gap or overlap, the offsets between the
     samples m_j < m_{j+1} split at ``(m_j + m_{j+1}) // 2 + 1``, so each goes
     to the nearer sample (the newer one on a tie).
+
+    ``runs`` lists the offsets as arithmetic runs, in order: a run
+    ``(first_entry, count, first_offset, stride)`` holds entries
+    ``first_entry .. first_entry + count - 1`` at offsets ``first_offset``,
+    ``first_offset + stride``, ...  Full and short memory are one run; a
+    geometric schedule is its dense head, one run per sampled interval and
+    its dense tail (merged into the head where the two meet).  Each run is a
+    basic strided slice of the history, which the solver reads in place.
+    Validation checks that the runs cover the entries in order and that each
+    run's first and last offsets are the entries' offsets.
     """
 
     offsets: np.ndarray
     weights: np.ndarray
     cells: np.ndarray = field(repr=False, compare=False)
+    runs: tuple[tuple[int, int, int, int], ...] = field(compare=False)
 
     def __post_init__(self) -> None:
         offsets = np.asarray(self.offsets, dtype=np.int64)
@@ -68,9 +79,30 @@ class MemorySchedule:
             or not (offsets < cells[1:]).all()
         ):
             raise ValueError("each cell must be a run of offsets holding its entry's offset")
+        runs = tuple(self.runs)
+        entry = 0
+        for first, count, first_offset, stride in runs:
+            if (
+                first != entry
+                or count < 1
+                or stride < 1
+                or first + count > offsets.size
+                or offsets.item(first) != first_offset
+                or offsets.item(first + count - 1) != first_offset + (count - 1) * stride
+            ):
+                raise ValueError(
+                    "runs must cover the entries in order, each starting and "
+                    "ending at its entries' offsets"
+                )
+            entry = first + count
+        if entry != offsets.size:
+            raise ValueError(
+                f"runs cover {entry} entries, the schedule has {offsets.size}"
+            )
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "runs", runs)
         offsets.setflags(write=False)
         weights.setflags(write=False)
         cells.setflags(write=False)
@@ -99,7 +131,10 @@ def full_schedule(k: int) -> MemorySchedule:
     k = _checked_step(k)
     cells = np.arange(k + 2, dtype=np.int64)
     return MemorySchedule(
-        offsets=cells[:-1], weights=np.ones(k + 1, dtype=np.int64), cells=cells
+        offsets=cells[:-1],
+        weights=np.ones(k + 1, dtype=np.int64),
+        cells=cells,
+        runs=((0, k + 1, 0, 1),),
     )
 
 
@@ -117,7 +152,10 @@ def short_schedule(k: int, length: float, dt: float) -> MemorySchedule:
     horizon = min(int(math.floor(length / dt)), k)
     cells = np.arange(horizon + 2, dtype=np.int64)
     return MemorySchedule(
-        offsets=cells[:-1], weights=np.ones(horizon + 1, dtype=np.int64), cells=cells
+        offsets=cells[:-1],
+        weights=np.ones(horizon + 1, dtype=np.int64),
+        cells=cells,
+        runs=((0, horizon + 1, 0, 1),),
     )
 
 
@@ -141,9 +179,10 @@ def adaptive_schedule(k: int, base: int) -> MemorySchedule:
 
     offsets: list[np.ndarray] = [np.arange(base + 1, dtype=np.int64)]
     weights: list[np.ndarray] = [np.ones(base + 1, dtype=np.int64)]
-    # Entry count so far, and (entry index, cell start) for each join whose
-    # windows leave a gap or overlap.
+    # Entry count so far, the runs so far, and (entry index, cell start) for
+    # each join whose windows leave a gap or overlap.
     n = base + 1
+    runs: list[tuple[int, int, int, int]] = [(0, base + 1, 0, 1)]
     splits: list[tuple[int, int]] = []
 
     # Newest sample so far and the end (exclusive) of its window.
@@ -157,13 +196,14 @@ def adaptive_schedule(k: int, base: int) -> MemorySchedule:
         stride = 2 * i - 1
         m_hi = min(base**i, k - i + 1)
         if m_hi >= start:
-            ms = np.arange(start, m_hi + 1, stride, dtype=np.int64)
+            count = (m_hi - start) // stride + 1
             if start - (i - 1) != end:
                 splits.append((n, (last_m + start) // 2 + 1))
-            offsets.append(ms)
-            weights.append(np.full(ms.size, stride, dtype=np.int64))
-            n += ms.size
-            last_m = int(ms[-1])
+            offsets.append(np.arange(start, m_hi + 1, stride, dtype=np.int64))
+            weights.append(np.full(count, stride, dtype=np.int64))
+            runs.append((n, count, start, stride))
+            n += count
+            last_m = start + (count - 1) * stride
             last_i = i
             end = last_m + i
         i += 1
@@ -184,6 +224,11 @@ def adaptive_schedule(k: int, base: int) -> MemorySchedule:
         tail = np.arange(tail_start, k + 1, dtype=np.int64)
         offsets.append(tail)
         weights.append(np.ones(tail.size, dtype=np.int64))
+        if last_i is None:
+            # The tail continues the dense head: one run 0..k.
+            runs[0] = (0, k + 1, 0, 1)
+        else:
+            runs.append((n, tail.size, tail_start, 1))
 
     offset_array = np.concatenate(offsets)
     weight_array = np.concatenate(weights)
@@ -193,7 +238,9 @@ def adaptive_schedule(k: int, base: int) -> MemorySchedule:
     cells[-1] = k + 1
     for entry, cell_start in splits:
         cells[entry] = cell_start
-    return MemorySchedule(offsets=offset_array, weights=weight_array, cells=cells)
+    return MemorySchedule(
+        offsets=offset_array, weights=weight_array, cells=cells, runs=tuple(runs)
+    )
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ Each step advances the field by
     u_next = u * (1 - beta * dt) + alpha * dt**gamma / dx**2 * S_k
 
 where S_k is the weighted backward sum of stored stencil fields dictated by
-the active memory schedule.  All strategies funnel through the same
-summation code, so a truncated schedule that happens to visit every offset
+the active memory schedule.  The sum reads each arithmetic run of the
+schedule as a strided view of the history, in place.  A schedule that visits
+the contiguous offsets 0..M (full and short memory, and any truncated schedule
+that happens to visit every offset) is one run and one contraction, so it
 reproduces the full-memory result bit for bit.
 """
 
@@ -31,8 +33,17 @@ from .schedule import FullMemory, MemorySchedule, MemoryStrategy
 
 log = logging.getLogger("fracgrid")
 
-# Heuristic explicit-step stability bound on alpha * dt**gamma / dx**2.
-STABILITY_LIMIT = 0.25
+
+def stability_limit(gamma: float) -> float:
+    """Von Neumann bound on alpha * dt**gamma / dx**2 for the explicit 2D step.
+
+    With ratio r the step amplifies the checkerboard mode (stencil eigenvalue
+    -8) by a factor g solving g = 1 - 8 r (1 - 1/g)**(1 - gamma), the psi
+    weights' generating function at z = 1/g.  The factor leaves the unit disc
+    at g = -1, where r = 2**(gamma - 3): 0.25 for classical diffusion and
+    less for subdiffusion.
+    """
+    return 2.0 ** (gamma - 3.0)
 
 
 class DivergenceError(RuntimeError):
@@ -122,10 +133,12 @@ class SimulationConfig:
             if (j, l) in seen:
                 raise ValueError(f"duplicate source at ({j}, {l})")
             seen.add((j, l))
-        if self.stability_ratio > STABILITY_LIMIT:
+        limit = stability_limit(self.gamma)
+        if self.stability_ratio > limit:
             warnings.warn(
                 f"stability ratio alpha*dt**gamma/dx**2 = {self.stability_ratio:.4g} "
-                f"exceeds {STABILITY_LIMIT}; the explicit step may diverge",
+                f"exceeds the bound 2**(gamma-3) = {limit:.4g}; "
+                "the explicit step may diverge",
                 StabilityWarning,
                 stacklevel=2,
             )
@@ -192,17 +205,16 @@ def history_sum(
 
     ``history`` holds one stencil field per completed step, oldest first, so
     offset m maps to buffer entry k - m.  When the schedule is the contiguous
-    block 0..M the sum reads a single slice of the buffer in place; sparse
-    schedules gather their entries first.  Either way the weighted reduction
-    itself is the same single-threaded contraction, keeping results
-    independent of strategy wherever the visited offsets coincide.
+    block 0..M the sum is one contraction over a single slice of the buffer,
+    keeping results independent of strategy wherever the visited offsets
+    coincide.  Any other schedule contracts each of its runs over a strided
+    view of the buffer, read in place, and adds the partial sums.
     """
     k = int(k)
     if k < 0 or len(history) <= k:
         raise ValueError(
             f"step {k} needs {k + 1} history entries, buffer holds {len(history)}"
         )
-    offsets = schedule.offsets
     reach = int(schedule.cells[-1]) - 1
     if reach > k:
         raise ValueError(f"schedule reaches offset {reach}, beyond step {k}")
@@ -211,14 +223,22 @@ def history_sum(
             f"psi table covers offsets up to {table.capacity}, schedule needs {reach}"
         )
     coeffs = entry_coefficients(schedule, table)
-    oldest = int(offsets[-1])
-    if int(offsets[0]) == 0 and oldest == len(schedule) - 1:
-        # Contiguous offsets 0..M: buffer entries k-M..k in storage order
-        # correspond to descending offset, so flip the coefficients.
-        block = history.block(k - oldest, k)
+    # Buffer entries in storage order run from the oldest offset to the
+    # newest, so each run's coefficients are flipped.
+    runs = schedule.runs
+    if len(runs) == 1 and runs[0][2] == 0 and runs[0][3] == 1:
+        block = history.block(k - runs[0][1] + 1, k)
         return np.einsum("t,txy->xy", coeffs[::-1], block)
-    stack = history.gather(k - offsets)
-    return np.einsum("t,txy->xy", coeffs, stack)
+    total = None
+    for first, count, first_offset, stride in runs:
+        last_offset = first_offset + (count - 1) * stride
+        view = history.gather(k - last_offset, k - first_offset, stride)
+        part = np.einsum("t,txy->xy", coeffs[first : first + count][::-1], view)
+        if total is None:
+            total = part
+        else:
+            total += part
+    return total
 
 
 def step(
@@ -272,14 +292,17 @@ def run(config: SimulationConfig, *, progress_every: int = 0) -> SimulationResul
     cadence = config.snapshot_cadence
 
     start = time.perf_counter()
-    for k in range(config.n_steps):
-        u = step(u, history, k, config, table)
-        done = k + 1
-        if done % cadence == 0 or done == config.n_steps:
-            if snapshots[-1][0] != done:
-                snapshots.append((done, Grid2D(u.copy(), config.dx)))
-        if progress_every > 0 and done % progress_every == 0:
-            log.info("step %d/%d", done, config.n_steps)
+    # A blow-up overflows to inf (or inf - inf to nan) before it is caught;
+    # step() reports it as a DivergenceError, not as a NumPy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.n_steps):
+            u = step(u, history, k, config, table)
+            done = k + 1
+            if done % cadence == 0 or done == config.n_steps:
+                if snapshots[-1][0] != done:
+                    snapshots.append((done, Grid2D(u.copy(), config.dx)))
+            if progress_every > 0 and done % progress_every == 0:
+                log.info("step %d/%d", done, config.n_steps)
     elapsed = time.perf_counter() - start
 
     final = snapshots[-1][1] if snapshots[-1][0] == config.n_steps else Grid2D(u, config.dx)

@@ -111,7 +111,6 @@ def test_memory_cap_too_small(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::fracgrid.solver.StabilityWarning")
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_divergent_run_exits_3(tmp_path, capsys):
     rc = main(
         [

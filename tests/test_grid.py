@@ -134,17 +134,17 @@ class TestHistoryBuffer:
         first = np.full((4, 4), 1.5)
         buf.append(first)
         assert len(buf) == 1
-        assert np.array_equal(buf.entry(0), first)
+        assert np.array_equal(buf.block(0, 0)[0], first)
         first[0, 0] = 99.0  # appended data was copied in
-        assert buf.entry(0)[0, 0] == 1.5
+        assert buf.block(0, 0)[0, 0, 0] == 1.5
 
     def test_entries_are_read_only(self):
         buf = HistoryBuffer(2, (3, 3))
         buf.append(np.ones((3, 3)))
         with pytest.raises(ValueError):
-            buf.entry(0)[1, 1] = 2.0
-        with pytest.raises(ValueError):
             buf.block(0, 0)[0, 1, 1] = 2.0
+        with pytest.raises(ValueError):
+            buf.gather(0, 0, 1)[0, 1, 1] = 2.0
 
     def test_capacity_enforced(self):
         buf = HistoryBuffer(1, (3, 3))
@@ -158,21 +158,28 @@ class TestHistoryBuffer:
             buf.append(np.zeros((4, 3)))
 
     def test_block_and_gather(self):
-        buf = HistoryBuffer(4, (3, 3))
-        for value in range(4):
+        buf = HistoryBuffer(8, (3, 3))
+        for value in range(7):
             buf.append(np.full((3, 3), float(value)))
         block = buf.block(1, 3)
         assert block.shape == (3, 3, 3)
         assert block[0, 0, 0] == 1.0
-        stack = buf.gather([3, 0])
-        assert stack[0, 0, 0] == 3.0
-        assert stack[1, 0, 0] == 0.0
-        with pytest.raises(IndexError):
-            buf.block(0, 4)
-        with pytest.raises(IndexError):
-            buf.gather([4])
+        run = buf.gather(1, 5, 2)
+        assert run[:, 0, 0].tolist() == [1.0, 3.0, 5.0]
+        assert buf.gather(6, 6, 4)[:, 0, 0].tolist() == [6.0]
+        # a view of the buffer, not a copy, and read-only
+        assert np.shares_memory(run, buf.block(0, 6))
+        assert not run.flags.writeable
         with pytest.raises(ValueError):
-            buf.gather([])
+            run[0, 1, 1] = 9.0
+        with pytest.raises(IndexError):
+            buf.block(0, 7)
+        for lo, hi in ((-1, 3), (4, 7), (5, 4)):
+            with pytest.raises(IndexError):
+                buf.gather(lo, hi, 1)
+        for stride in (0, 3):
+            with pytest.raises(ValueError, match="stride"):
+                buf.gather(1, 5, stride)
 
     def test_byte_cap(self):
         with pytest.raises(MemoryBudgetError, match="cap"):
@@ -185,4 +192,6 @@ class TestHistoryBuffer:
         buf = HistoryBuffer(2, (3, 3))
         buf.append(np.zeros((3, 3)))
         with pytest.raises(IndexError):
-            buf.entry(1)
+            buf.block(1, 1)
+        with pytest.raises(IndexError):
+            buf.block(-1, -1)

@@ -55,6 +55,11 @@ def test_adaptive_goldens():
     assert adaptive_schedule(9, 3).weight_sum == 10
     assert adaptive_schedule(20, 3).pairs() == GOLDEN_K20_A3
     assert adaptive_schedule(20, 3).weight_sum == 21
+    # (first entry, count, first offset, stride): head, bands, tail
+    assert adaptive_schedule(9, 3).runs == ((0, 4, 0, 1), (4, 2, 5, 3))
+    assert adaptive_schedule(20, 3).runs == (
+        (0, 4, 0, 1), (4, 2, 5, 3), (6, 2, 12, 5), (8, 1, 20, 1),
+    )
 
 
 def test_adaptive_degenerates_to_full():
@@ -131,6 +136,32 @@ def test_builder_cells_follow_the_rule(a):
         assert sched.cells.tolist() == _reference_cells(sched.pairs())
 
 
+def _expand_runs(runs):
+    """The offsets a schedule's runs stand for, entry by entry."""
+    offsets = []
+    for first, count, first_offset, stride in runs:
+        assert first == len(offsets)
+        offsets.extend(first_offset + t * stride for t in range(count))
+    return offsets
+
+
+@pytest.mark.parametrize("a", [2, 3, 4, 5, 8, 12, 20, 100])
+def test_builder_runs_expand_to_offsets(a):
+    for k in range(0, 1600):
+        sched = adaptive_schedule(k, a)
+        assert _expand_runs(sched.runs) == sched.offsets.tolist(), k
+        assert all(type(v) is int for run in sched.runs for v in run)
+        # a schedule that visits 0..k is one run, read as one block
+        if sched.offsets.size == k + 1:
+            assert sched.runs == ((0, k + 1, 0, 1),), k
+        else:
+            assert len(sched.runs) > 1
+    for k in (0, 1, 30, 1599):
+        for sched in (full_schedule(k), short_schedule(k, 10.0, 1.0)):
+            assert len(sched.runs) == 1
+            assert _expand_runs(sched.runs) == sched.offsets.tolist()
+
+
 def test_coverage_no_anomalies_for_golden_schedules():
     for k in (9, 20):
         stats = coverage_report(adaptive_schedule(k, 3), k)
@@ -196,18 +227,45 @@ def test_gamma_one_nullity():
 def test_schedule_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         MemorySchedule(
-            offsets=np.array([0, 2, 2]), weights=np.array([1, 1, 1]), cells=np.arange(4)
+            offsets=np.array([0, 2, 2]),
+            weights=np.array([1, 1, 1]),
+            cells=np.arange(4),
+            runs=((0, 3, 0, 1),),
         )
     with pytest.raises(ValueError, match="positive"):
-        MemorySchedule(offsets=np.array([0, 1]), weights=np.array([1, 0]), cells=np.arange(3))
+        MemorySchedule(
+            offsets=np.array([0, 1]), weights=np.array([1, 0]), cells=np.arange(3),
+            runs=((0, 2, 0, 1),),
+        )
     with pytest.raises(ValueError, match="at least one"):
         MemorySchedule(
-            offsets=np.array([], dtype=int), weights=np.array([], dtype=int), cells=np.zeros(1)
+            offsets=np.array([], dtype=int), weights=np.array([], dtype=int),
+            cells=np.zeros(1), runs=(),
         )
     with pytest.raises(ValueError, match="cell"):
-        MemorySchedule(offsets=np.array([0, 2]), weights=np.array([1, 1]), cells=np.array([0, 3, 4]))
+        MemorySchedule(
+            offsets=np.array([0, 2]), weights=np.array([1, 1]), cells=np.array([0, 3, 4]),
+            runs=((0, 2, 0, 2),),
+        )
     with pytest.raises(ValueError, match="cell"):
-        MemorySchedule(offsets=np.array([0, 2]), weights=np.array([1, 1]), cells=np.array([0, 2]))
+        MemorySchedule(
+            offsets=np.array([0, 2]), weights=np.array([1, 1]), cells=np.array([0, 2]),
+            runs=((0, 2, 0, 2),),
+        )
+    # runs that disagree with the offsets
+    offsets, weights, cells = np.array([0, 1, 4, 7]), np.array([1, 1, 3, 3]), np.array([0, 1, 3, 6, 9])
+    MemorySchedule(offsets, weights, cells, runs=((0, 2, 0, 1), (2, 2, 4, 3)))
+    for runs in (
+        ((0, 4, 0, 1),),  # runs 0..3, the offsets end at 7
+        ((0, 2, 0, 1), (2, 2, 4, 2)),  # wrong stride
+        ((0, 2, 0, 1), (2, 2, 3, 3)),  # wrong first offset
+        ((0, 2, 0, 1), (3, 1, 7, 1)),  # skips entry 2
+        ((0, 2, 0, 1), (2, 1, 4, 3)),  # leaves entry 3 out
+        ((0, 2, 0, 1), (2, 0, 4, 3), (2, 2, 4, 3)),  # an empty run
+        ((0, 2, 0, 1), (2, 2, 4, 3), (4, 1, 10, 1)),  # past the last entry
+    ):
+        with pytest.raises(ValueError, match="runs"):
+            MemorySchedule(offsets, weights, cells, runs=runs)
     with pytest.raises(ValueError):
         full_schedule(-1)
     with pytest.raises(ValueError, match="base"):

@@ -81,6 +81,12 @@ class TestConfigValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             make_config(gamma=1.0, dt=1.0, dx=2.0, alpha=1.0)  # ratio 0.25, no warning
+        # The bound 2**(gamma-3) tightens with gamma: about 0.177 at 0.5.
+        with pytest.warns(StabilityWarning, match="2\\*\\*\\(gamma-3\\)"):
+            make_config(gamma=0.5, dt=1.0, dx=1.0, alpha=0.186)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            make_config(gamma=0.5, dt=1.0, dx=1.0, alpha=0.17)
 
     def test_stability_ratio(self):
         config = make_config(gamma=0.5, alpha=2.0, dt=4.0, dx=10.0)
@@ -297,7 +303,6 @@ def test_mass_conserved_before_front_reaches_edge():
 
 
 @pytest.mark.filterwarnings("ignore::fracgrid.solver.StabilityWarning")
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_divergence_reports_step():
     config = make_config(gamma=1.0, dt=1.0, dx=1.0, alpha=1.0, n_steps=500)
     with pytest.raises(DivergenceError, match="step") as excinfo:
