@@ -197,29 +197,42 @@ def _utc_now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _write_manifest(
-    out_dir: str,
-    command: str,
-    config: dict | None,
-    artifacts: list[str],
-    started: str,
-    extra: dict | None = None,
-) -> None:
-    manifest = {
-        "tool": "fracgrid",
-        "version": __version__,
-        "command": command,
-        "started_utc": started,
-        "finished_utc": _utc_now(),
-        "config": config,
-        "artifacts": sorted(artifacts),
-    }
-    if extra:
-        manifest.update(extra)
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+class _Artifacts:
+    """The files one command writes under ``out_dir``, and their manifest.
+
+    Creating it makes the directory and notes the start time; ``path`` names
+    an artifact and returns where to write it; ``finish`` writes
+    ``manifest.json`` listing every named artifact.
+    """
+
+    def __init__(self, out_dir: str, command: str) -> None:
+        os.makedirs(out_dir, exist_ok=True)
+        self.out_dir = out_dir
+        self.command = command
+        self.names: list[str] = []
+        self.started = _utc_now()
+
+    def path(self, name: str) -> str:
+        self.names.append(name)
+        return os.path.join(self.out_dir, name)
+
+    def finish(self, config: dict | None, extra: dict | None = None) -> None:
+        manifest = {
+            "tool": "fracgrid",
+            "version": __version__,
+            "command": self.command,
+            "started_utc": self.started,
+            "finished_utc": _utc_now(),
+            "config": config,
+            "artifacts": sorted(self.names),
+        }
+        if extra:
+            manifest.update(extra)
+        path = os.path.join(self.out_dir, "manifest.json")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        log.info("wrote %d artifacts to %s", len(self.names) + 1, self.out_dir)
 
 
 def _gamma_tag(gamma: float) -> str:
@@ -232,43 +245,32 @@ def _progress_every(n_steps: int, verbose: bool) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config, _ = _resolve_simulation(args, sweep=False)
-    os.makedirs(args.out_dir, exist_ok=True)
-    started = _utc_now()
+    out = _Artifacts(args.out_dir, "simulate")
     result = run(config, progress_every=_progress_every(config.n_steps, args.verbose))
 
-    artifacts: list[str] = []
-
-    def _path(name: str) -> str:
-        artifacts.append(name)
-        return os.path.join(args.out_dir, name)
-
     j, l = source_cell(config)
-    write_grid_csv(result.final, _path("grid_final.csv"))
+    write_grid_csv(result.final, out.path("grid_final.csv"))
     profile = slice_profile(result.final, l)
-    write_profile_csv(profile, _path("profile.csv"))
+    write_profile_csv(profile, out.path("profile.csv"))
     steps = np.array([s for s, _ in result.snapshots], dtype=np.int64)
     values = np.array([g.data[j, l] for _, g in result.snapshots])
-    write_trace_csv(steps, values, _path("trace.csv"))
+    write_trace_csv(steps, values, out.path("trace.csv"))
 
     snap_dir = os.path.join(args.out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
     for step_no, grid in result.snapshots:
         name = os.path.join("snapshots", f"step_{step_no:06d}.csv")
-        write_grid_csv(grid, _path(name))
+        write_grid_csv(grid, out.path(name))
 
     x = np.arange(config.nx, dtype=np.float64) * config.dx
     write_line_plot(
         [Series(name=f"step {config.n_steps}", x=x, y=profile)],
-        _path("profile.svg"),
+        out.path("profile.svg"),
         title=f"Profile through cell ({j}, {l})",
         x_label="x",
         y_label="concentration",
     )
-    _write_manifest(
-        args.out_dir, "simulate", config_as_dict(config), artifacts, started,
-        extra={"elapsed_seconds": result.elapsed_seconds},
-    )
-    log.info("wrote %d artifacts to %s", len(artifacts) + 1, args.out_dir)
+    out.finish(config_as_dict(config), extra={"elapsed_seconds": result.elapsed_seconds})
     return EXIT_OK
 
 
@@ -281,8 +283,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
         "repeats": args.repeats,
     }
     spec = build_sweep(file_map, sweep_over)
-    os.makedirs(args.out_dir, exist_ok=True)
-    started = _utc_now()
+    out = _Artifacts(args.out_dir, "benchmark")
 
     records = run_comparison(
         config,
@@ -301,13 +302,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
                 rec.message,
             )
 
-    artifacts: list[str] = []
-
-    def _path(name: str) -> str:
-        artifacts.append(name)
-        return os.path.join(args.out_dir, name)
-
-    write_benchmark_csv(records, _path("benchmark.csv"))
+    write_benchmark_csv(records, out.path("benchmark.csv"))
 
     for gamma in spec.gammas:
         series = []
@@ -332,19 +327,15 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
         if series:
             write_line_plot(
                 series,
-                _path(f"error_vs_time_gamma_{_gamma_tag(gamma)}.svg"),
+                out.path(f"error_vs_time_gamma_{_gamma_tag(gamma)}.svg"),
                 title=f"Relative L2 error vs run time, gamma={format_float(gamma)}",
                 x_label="wall time (s)",
                 y_label="relative L2 error (%)",
                 log_y=True,
             )
 
-    _write_manifest(
-        args.out_dir,
-        "benchmark",
+    out.finish(
         config_as_dict(config),
-        artifacts,
-        started,
         extra={
             "sweep": {
                 "gammas": list(spec.gammas),
@@ -354,7 +345,6 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
             }
         },
     )
-    log.info("wrote %d artifacts to %s", len(artifacts) + 1, args.out_dir)
     return EXIT_OK
 
 
@@ -362,25 +352,18 @@ def _cmd_sweep_gamma(args: argparse.Namespace) -> int:
     config, file_map = _resolve_simulation(args, sweep=True, defaults=SPREAD_SCENARIO)
     sweep_over = {"gammas": args.gammas}
     spec = build_sweep(file_map, sweep_over)
-    os.makedirs(args.out_dir, exist_ok=True)
-    started = _utc_now()
+    out = _Artifacts(args.out_dir, "sweep-gamma")
 
     entries = gamma_sweep(config, spec.gammas)
-
-    artifacts: list[str] = []
-
-    def _path(name: str) -> str:
-        artifacts.append(name)
-        return os.path.join(args.out_dir, name)
 
     x = np.arange(config.nx, dtype=np.float64) * config.dx
     profile_series = []
     trace_series = []
     for entry in entries:
         tag = _gamma_tag(entry.gamma)
-        write_profile_csv(entry.profile, _path(f"profile_gamma_{tag}.csv"))
+        write_profile_csv(entry.profile, out.path(f"profile_gamma_{tag}.csv"))
         write_trace_csv(
-            entry.trace_steps, entry.trace_values, _path(f"trace_gamma_{tag}.csv")
+            entry.trace_steps, entry.trace_values, out.path(f"trace_gamma_{tag}.csv")
         )
         label = f"gamma={format_float(entry.gamma)}"
         profile_series.append(Series(name=label, x=x, y=entry.profile))
@@ -393,27 +376,19 @@ def _cmd_sweep_gamma(args: argparse.Namespace) -> int:
         )
     write_line_plot(
         profile_series,
-        _path("profiles.svg"),
+        out.path("profiles.svg"),
         title="Final profiles through the source",
         x_label="x",
         y_label="concentration",
     )
     write_line_plot(
         trace_series,
-        _path("traces.svg"),
+        out.path("traces.svg"),
         title="Source-cell concentration over time",
         x_label="t",
         y_label="concentration",
     )
-    _write_manifest(
-        args.out_dir,
-        "sweep-gamma",
-        config_as_dict(config),
-        artifacts,
-        started,
-        extra={"sweep": {"gammas": list(spec.gammas)}},
-    )
-    log.info("wrote %d artifacts to %s", len(artifacts) + 1, args.out_dir)
+    out.finish(config_as_dict(config), extra={"sweep": {"gammas": list(spec.gammas)}})
     return EXIT_OK
 
 
@@ -429,17 +404,10 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     schedule = strategy.schedule_at(args.k, args.dt)
     stats = coverage_report(schedule, args.k)
 
-    started = _utc_now()
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        write_schedule_csv(schedule, os.path.join(args.out_dir, "schedule.csv"))
-        _write_manifest(
-            args.out_dir,
-            "schedule",
-            {"memory": args.memory, "k": args.k, "dt": args.dt},
-            ["schedule.csv"],
-            started,
-        )
+        out = _Artifacts(args.out_dir, "schedule")
+        write_schedule_csv(schedule, out.path("schedule.csv"))
+        out.finish({"memory": args.memory, "k": args.k, "dt": args.dt})
     else:
         print("m,w")
         for m, w in schedule.pairs():

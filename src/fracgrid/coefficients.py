@@ -27,30 +27,6 @@ def _checked_gamma(gamma: float) -> float:
     return gamma
 
 
-def psi(gamma: float, m: int) -> float:
-    """Weight of the m-th history term for anomalous exponent ``gamma``.
-
-    Defined by ``psi(gamma, 0) = 1`` and the recursion
-
-        psi(gamma, m) = -psi(gamma, m - 1) * (2 - gamma - m) / m.
-
-    Parameters
-    ----------
-    gamma : float
-        Anomalous exponent, in (0, 2).
-    m : int
-        History offset, >= 0.
-    """
-    gamma = _checked_gamma(gamma)
-    m = int(m)
-    if m < 0:
-        raise ValueError(f"history offset m must be >= 0, got {m}")
-    value = 1.0
-    for j in range(1, m + 1):
-        value = -value * (2.0 - gamma - j) / j
-    return value
-
-
 @dataclass(frozen=True)
 class PsiTable:
     """Precomputed weights psi(gamma, m) for every m from 0 to ``capacity``.
@@ -83,8 +59,11 @@ class PsiTable:
 def build_table(gamma: float, n_steps: int) -> PsiTable:
     """Tabulate psi(gamma, m) for m = 0..n_steps via the recursion.
 
-    The table is filled by one sequential pass so that ``values[m]`` is
-    bitwise identical to what the scalar recursion produces.
+    ``psi(gamma, 0) = 1`` and, for m >= 1,
+
+        psi(gamma, m) = -psi(gamma, m - 1) * (2 - gamma - m) / m,
+
+    with gamma in (0, 2).  The table is filled by one sequential pass.
     """
     gamma = _checked_gamma(gamma)
     n_steps = int(n_steps)
@@ -98,12 +77,3 @@ def build_table(gamma: float, n_steps: int) -> PsiTable:
         values[m] = value
     return PsiTable(gamma=gamma, values=values)
 
-
-def partial_sum(table: PsiTable, m_max: int) -> float:
-    """Sum of table weights from m = 0 through ``m_max`` inclusive."""
-    m_max = int(m_max)
-    if not 0 <= m_max <= table.capacity:
-        raise ValueError(
-            f"m_max must lie in [0, {table.capacity}], got {m_max}"
-        )
-    return float(np.sum(table.values[: m_max + 1]))

@@ -106,11 +106,6 @@ def stencil(data: np.ndarray) -> np.ndarray:
     return out
 
 
-def laplacian_field(grid: Grid2D) -> np.ndarray:
-    """Stencil evaluation of a grid (see :func:`stencil`)."""
-    return stencil(grid.data)
-
-
 def slice_profile(grid: Grid2D, row: int) -> np.ndarray:
     """1D cut u[:, row] across the grid, as a fresh writable array."""
     row = int(row)

@@ -7,14 +7,20 @@ geometric schedule keeps a dense recent window and thins older history into
 geometrically growing intervals, sampling each at a stride equal to the weight
 it assigns, so one stored field stands in for a run of its neighbours.
 
+A schedule is stored as a few arithmetic *runs* ``(first_offset, count,
+stride)``: ``count`` entries at offsets ``first_offset``, ``first_offset +
+stride``, ..., each weighted by the run's stride.  Full and short memory are
+one run; a geometric schedule is its dense head, one run per sampled interval
+and its dense tail.  Offsets, weights and pairs are derived from the runs.
+
 Coefficient rule: every entry stands for a *cell* of consecutive offsets that
 contains its own offset, and the solver weighs the stored field at m by the
 sum of psi over that cell (psi(m) itself when the cell is just {m}).  The
 cell is the entry's centred window of w offsets; where two neighbouring
-windows leave a gap or overlap (the joins between the geometric intervals),
-the offsets between the two samples go to the nearer one instead.  The cells
-of a geometric schedule therefore tile 0..k exactly, and its coefficients sum
-to the full-memory weight mass.
+windows leave a gap or overlap (the joins between the runs), the offsets
+between the two samples go to the nearer one instead.  The cells of a
+geometric schedule therefore tile 0..k exactly, and its coefficients sum to
+the full-memory weight mass.
 """
 
 from __future__ import annotations
@@ -31,92 +37,89 @@ import numpy as np
 class MemorySchedule:
     """Weighted history offsets visited by one backward summation.
 
-    Offsets are strictly increasing and unique; weights are positive
-    integers.  A weight-w entry at offset m declares that it stands in for
-    the w consecutive offsets centred on m (its window, which
-    :func:`coverage_report` accounts for).  Entry j stands for the offsets
-    ``cells[j] <= x < cells[j + 1]``, its cell, and the solver weighs it by
-    the psi mass of that cell.  The builders in this module make each cell
-    the entry's window where that meets both neighbouring windows exactly;
-    at a join whose windows leave a gap or overlap, the offsets between the
-    samples m_j < m_{j+1} split at ``(m_j + m_{j+1}) // 2 + 1``, so each goes
-    to the nearer sample (the newer one on a tie).
+    ``runs`` is the whole schedule: a run ``(first_offset, count, stride)``
+    holds ``count`` entries at offsets ``first_offset + j * stride`` (j < count),
+    each of weight ``stride``.  Runs are listed newest first and each starts
+    past the previous run's last offset, so offsets are strictly increasing.
+    Each run is a basic strided slice of the history, which the solver reads
+    in place.
 
-    ``runs`` lists the offsets as arithmetic runs, in order: a run
-    ``(first_entry, count, first_offset, stride)`` holds entries
-    ``first_entry .. first_entry + count - 1`` at offsets ``first_offset``,
-    ``first_offset + stride``, ...  Full and short memory are one run; a
-    geometric schedule is its dense head, one run per sampled interval and
-    its dense tail (merged into the head where the two meet).  Each run is a
-    basic strided slice of the history, which the solver reads in place.
-    Validation checks that the runs cover the entries in order and that each
-    run's first and last offsets are the entries' offsets.
+    A weight-w entry at offset m declares that it stands in for the w
+    consecutive offsets centred on m (its window, which :func:`coverage_report`
+    accounts for), and the solver weighs it by the psi mass of its *cell*.
+    Inside a run, entry j's cell starts at ``m_j - (stride - 1) // 2``, where
+    its window starts, so the cells there are ``stride`` offsets wide and
+    meet (as the windows do for the odd strides the builders use).
+    ``spans[r] = (lo, hi)`` is the cell range
+    ``lo <= x < hi`` of run r as a whole: at a join whose windows meet the
+    shared bound is kept; where they leave a gap or overlap, the offsets
+    between the samples m < m' split at ``(m + m') // 2 + 1``, so each goes to
+    the nearer sample (the newer one on a tie).  The first span starts at the
+    first window's start (never below 0) and the last ends where the last
+    window ends.
     """
 
-    offsets: np.ndarray
-    weights: np.ndarray
-    cells: np.ndarray = field(repr=False, compare=False)
-    runs: tuple[tuple[int, int, int, int], ...] = field(compare=False)
+    runs: tuple[tuple[int, int, int], ...]
+    spans: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        offsets = np.asarray(self.offsets, dtype=np.int64)
-        weights = np.asarray(self.weights, dtype=np.int64)
-        cells = np.asarray(self.cells, dtype=np.int64)
-        if offsets.ndim != 1 or weights.ndim != 1 or offsets.size != weights.size:
-            raise ValueError("offsets and weights must be 1D arrays of equal length")
-        if offsets.size == 0:
-            raise ValueError("a schedule must contain at least one entry")
-        if offsets[0] < 0:
-            raise ValueError("offsets must be >= 0")
-        if not (offsets[1:] > offsets[:-1]).all():
-            raise ValueError("offsets must be strictly increasing")
-        if weights.min() < 1:
-            raise ValueError("weights must be positive integers")
-        if (
-            cells.shape != (offsets.size + 1,)
-            or cells[0] < 0
-            or not (cells[:-1] <= offsets).all()
-            or not (offsets < cells[1:]).all()
-        ):
-            raise ValueError("each cell must be a run of offsets holding its entry's offset")
         runs = tuple(self.runs)
-        entry = 0
-        for first, count, first_offset, stride in runs:
-            if (
-                first != entry
-                or count < 1
-                or stride < 1
-                or first + count > offsets.size
-                or offsets.item(first) != first_offset
-                or offsets.item(first + count - 1) != first_offset + (count - 1) * stride
-            ):
+        if not runs:
+            raise ValueError("a schedule must contain at least one run")
+        # bounds[r] is where run r's cells start; the last entry ends them.
+        bounds: list[int] = []
+        for first_offset, count, stride in runs:
+            if count < 1:
+                raise ValueError(f"a run must hold at least one entry, got count {count}")
+            if stride < 1:
+                raise ValueError(f"strides must be positive integers, got {stride}")
+            if first_offset < 0:
+                raise ValueError(f"offsets must be >= 0, got {first_offset}")
+            half = (stride - 1) // 2
+            start = first_offset - half
+            if not bounds:
+                bounds.append(max(start, 0))
+            elif first_offset <= last:
                 raise ValueError(
-                    "runs must cover the entries in order, each starting and "
-                    "ending at its entries' offsets"
+                    f"offsets must be strictly increasing: a run starts at "
+                    f"{first_offset}, after offset {last}"
                 )
-            entry = first + count
-        if entry != offsets.size:
-            raise ValueError(
-                f"runs cover {entry} entries, the schedule has {offsets.size}"
-            )
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "cells", cells)
+            else:
+                bounds.append(start if start == end else (last + first_offset) // 2 + 1)
+            last = first_offset + (count - 1) * stride
+            end = last + half + 1
+        bounds.append(end)
         object.__setattr__(self, "runs", runs)
-        offsets.setflags(write=False)
-        weights.setflags(write=False)
-        cells.setflags(write=False)
+        object.__setattr__(self, "spans", tuple(zip(bounds[:-1], bounds[1:])))
 
     def __len__(self) -> int:
-        return int(self.offsets.size)
+        return sum(count for _, count, _ in self.runs)
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Every visited offset, in order (a new read-only array)."""
+        offsets = np.concatenate(
+            [np.arange(m, m + count * stride, stride) for m, count, stride in self.runs]
+        )
+        offsets.setflags(write=False)
+        return offsets
 
     def pairs(self) -> list[tuple[int, int]]:
         """The schedule as plain (offset, weight) tuples."""
-        return [(int(m), int(w)) for m, w in zip(self.offsets, self.weights)]
+        return [
+            (m + j * stride, stride)
+            for m, count, stride in self.runs
+            for j in range(count)
+        ]
 
     @property
     def weight_sum(self) -> int:
-        return int(self.weights.sum())
+        return sum(count * stride for _, count, stride in self.runs)
+
+    @property
+    def reach(self) -> int:
+        """Oldest offset whose psi mass the schedule's cells take in."""
+        return self.spans[-1][1] - 1
 
 
 def _checked_step(k: int) -> int:
@@ -129,13 +132,7 @@ def _checked_step(k: int) -> int:
 def full_schedule(k: int) -> MemorySchedule:
     """Every offset 0..k with unit weight."""
     k = _checked_step(k)
-    cells = np.arange(k + 2, dtype=np.int64)
-    return MemorySchedule(
-        offsets=cells[:-1],
-        weights=np.ones(k + 1, dtype=np.int64),
-        cells=cells,
-        runs=((0, k + 1, 0, 1),),
-    )
+    return MemorySchedule(((0, k + 1, 1),))
 
 
 def short_schedule(k: int, length: float, dt: float) -> MemorySchedule:
@@ -150,13 +147,7 @@ def short_schedule(k: int, length: float, dt: float) -> MemorySchedule:
     if not dt > 0 or not math.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     horizon = min(int(math.floor(length / dt)), k)
-    cells = np.arange(horizon + 2, dtype=np.int64)
-    return MemorySchedule(
-        offsets=cells[:-1],
-        weights=np.ones(horizon + 1, dtype=np.int64),
-        cells=cells,
-        runs=((0, horizon + 1, 0, 1),),
-    )
+    return MemorySchedule(((0, horizon + 1, 1),))
 
 
 def adaptive_schedule(k: int, base: int) -> MemorySchedule:
@@ -177,16 +168,9 @@ def adaptive_schedule(k: int, base: int) -> MemorySchedule:
     if k <= base:
         return full_schedule(k)
 
-    offsets: list[np.ndarray] = [np.arange(base + 1, dtype=np.int64)]
-    weights: list[np.ndarray] = [np.ones(base + 1, dtype=np.int64)]
-    # Entry count so far, the runs so far, and (entry index, cell start) for
-    # each join whose windows leave a gap or overlap.
-    n = base + 1
-    runs: list[tuple[int, int, int, int]] = [(0, base + 1, 0, 1)]
-    splits: list[tuple[int, int]] = []
-
-    # Newest sample so far and the end (exclusive) of its window.
-    last_m, end = base, base + 1
+    runs = [(0, base + 1, 1)]
+    # Newest sample so far and the interval that sampled it.
+    last_m = base
     last_i: int | None = None
     i = 2
     while True:
@@ -197,20 +181,15 @@ def adaptive_schedule(k: int, base: int) -> MemorySchedule:
         m_hi = min(base**i, k - i + 1)
         if m_hi >= start:
             count = (m_hi - start) // stride + 1
-            if start - (i - 1) != end:
-                splits.append((n, (last_m + start) // 2 + 1))
-            offsets.append(np.arange(start, m_hi + 1, stride, dtype=np.int64))
-            weights.append(np.full(count, stride, dtype=np.int64))
-            runs.append((n, count, start, stride))
-            n += count
+            runs.append((start, count, stride))
             last_m = start + (count - 1) * stride
             last_i = i
-            end = last_m + i
         i += 1
 
     if last_i is None:
-        tail_start = base + 1
-    elif k > base**last_i:
+        # The tail continues the dense head: one run 0..k.
+        return full_schedule(k)
+    if k > base**last_i:
         # History extends past the last interval's nominal end; resume dense
         # sampling there rather than at the interval's final sample.  The
         # few offsets between them are not visited; the cells hand their psi
@@ -219,28 +198,8 @@ def adaptive_schedule(k: int, base: int) -> MemorySchedule:
     else:
         tail_start = last_m + last_i
     if tail_start <= k:
-        if tail_start != end:
-            splits.append((n, (last_m + tail_start) // 2 + 1))
-        tail = np.arange(tail_start, k + 1, dtype=np.int64)
-        offsets.append(tail)
-        weights.append(np.ones(tail.size, dtype=np.int64))
-        if last_i is None:
-            # The tail continues the dense head: one run 0..k.
-            runs[0] = (0, k + 1, 0, 1)
-        else:
-            runs.append((n, tail.size, tail_start, 1))
-
-    offset_array = np.concatenate(offsets)
-    weight_array = np.concatenate(weights)
-    # Cells are the centred windows, except at the joins listed in splits.
-    cells = np.empty(offset_array.size + 1, dtype=np.int64)
-    np.subtract(offset_array, (weight_array - 1) // 2, out=cells[:-1])
-    cells[-1] = k + 1
-    for entry, cell_start in splits:
-        cells[entry] = cell_start
-    return MemorySchedule(
-        offsets=offset_array, weights=weight_array, cells=cells, runs=tuple(runs)
-    )
+        runs.append((tail_start, k - tail_start + 1, 1))
+    return MemorySchedule(tuple(runs))
 
 
 @dataclass(frozen=True)
@@ -264,12 +223,11 @@ def coverage_report(schedule: MemorySchedule, k: int) -> CoverageStats:
     covered more than once are overlaps.
     """
     k = _checked_step(k)
-    if int(schedule.offsets[-1]) > k:
-        raise ValueError(
-            f"schedule reaches offset {int(schedule.offsets[-1])}, beyond k={k}"
-        )
+    pairs = schedule.pairs()
+    if pairs[-1][0] > k:
+        raise ValueError(f"schedule reaches offset {pairs[-1][0]}, beyond k={k}")
     counts = np.zeros(k + 1, dtype=np.int64)
-    for m, w in zip(schedule.offsets.tolist(), schedule.weights.tolist()):
+    for m, w in pairs:
         half = (w - 1) // 2
         lo = max(0, m - half)
         hi = min(k, m + half)

@@ -5,11 +5,11 @@ Each step advances the field by
     u_next = u * (1 - beta * dt) + alpha * dt**gamma / dx**2 * S_k
 
 where S_k is the weighted backward sum of stored stencil fields dictated by
-the active memory schedule.  The sum reads each arithmetic run of the
-schedule as a strided view of the history, in place.  A schedule that visits
-the contiguous offsets 0..M (full and short memory, and any truncated schedule
-that happens to visit every offset) is one run and one contraction, so it
-reproduces the full-memory result bit for bit.
+the active memory schedule.  The sum contracts each arithmetic run of the
+schedule over a strided view of the history, read in place.  A schedule that
+visits the contiguous offsets 0..M (full and short memory, and any truncated
+schedule that happens to visit every offset) is one run and one contraction,
+so it reproduces the full-memory result bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ from .schedule import FullMemory, MemorySchedule, MemoryStrategy
 
 log = logging.getLogger("fracgrid")
 
+# A stable run keeps peak |u| at or near its initial peak, while an unstable
+# mode grows geometrically; a run past this multiple of the initial peak has
+# blown up, and the factor only decides how early that is caught.
+GROWTH_LIMIT = 1e3
+
 
 def stability_limit(gamma: float) -> float:
     """Von Neumann bound on alpha * dt**gamma / dx**2 for the explicit 2D step.
@@ -47,7 +52,7 @@ def stability_limit(gamma: float) -> float:
 
 
 class DivergenceError(RuntimeError):
-    """A step produced non-finite concentrations."""
+    """A step's peak |u| is not finite or exceeds ``GROWTH_LIMIT`` times the initial peak."""
 
     def __init__(self, step: int, peak: float):
         super().__init__(
@@ -172,21 +177,42 @@ class SimulationResult:
         return self.config.n_steps
 
 
-def entry_coefficients(schedule: MemorySchedule, table: PsiTable) -> np.ndarray:
-    """Coefficient of each schedule entry: the psi mass of the offsets it stands for.
+def entry_coefficients(schedule: MemorySchedule, table: PsiTable) -> list[np.ndarray]:
+    """Per-run coefficients: the psi mass of the offsets each entry stands for.
 
-    Entry j gets the sum of psi(x) over its cell,
-    ``schedule.cells[j] <= x < schedule.cells[j + 1]``, read off the table's
-    prefix sums.  An entry whose cell is just its own offset m gets psi(m)
-    itself, bit for bit, so full and short memory (all cells single) and any
-    schedule that visits every offset weigh history exactly alike.
+    Returns one array per run, entry by entry.  Each entry gets the sum of
+    psi(x) over its cell (see :class:`MemorySchedule`), read off the table's
+    prefix sums with one strided slice per run: inside a run the cells start
+    ``stride`` offsets apart, and the run's span supplies its outer bounds.
+    An entry whose cell is just its own offset m gets psi(m) itself, bit for
+    bit, so full and short memory and any schedule that visits every offset
+    weigh history exactly alike; a dense run of unit cells is a view of the
+    table.
     """
-    cells = schedule.cells
-    mass = table.prefix[cells]
-    coeffs = mass[1:] - mass[:-1]
-    single = cells[1:] - cells[:-1] == 1
-    coeffs[single] = table.values[schedule.offsets[single]]
-    return coeffs
+    values, prefix = table.values, table.prefix
+    out = []
+    for (m, count, stride), (lo, hi) in zip(schedule.runs, schedule.spans):
+        last = m + (count - 1) * stride
+        if stride == 1 and lo == m and hi == last + 1:
+            out.append(values[m : last + 1])
+            continue
+        # Cell bounds: lo, the start of every cell after the first, then hi.
+        half = (stride - 1) // 2
+        mass = np.empty(count + 1)
+        mass[0] = prefix[lo]
+        mass[1:-1] = prefix[m + stride - half : m + count * stride - half : stride]
+        mass[-1] = prefix[hi]
+        coeffs = mass[1:] - mass[:-1]
+        if stride == 1:
+            coeffs[1:-1] = values[m + 1 : last]
+        first_end = hi if count == 1 else m + stride - half
+        last_start = lo if count == 1 else last - half
+        if first_end - lo == 1:
+            coeffs[0] = values[m]
+        if hi - last_start == 1:
+            coeffs[-1] = values[last]
+        out.append(coeffs)
+    return out
 
 
 def history_sum(
@@ -204,36 +230,36 @@ def history_sum(
     carries the full-memory weight mass.
 
     ``history`` holds one stencil field per completed step, oldest first, so
-    offset m maps to buffer entry k - m.  When the schedule is the contiguous
-    block 0..M the sum is one contraction over a single slice of the buffer,
-    keeping results independent of strategy wherever the visited offsets
-    coincide.  Any other schedule contracts each of its runs over a strided
-    view of the buffer, read in place, and adds the partial sums.
+    offset m maps to buffer entry k - m.  Each run of the schedule is one
+    contraction over a view of the buffer, read in place, and the partial
+    sums are added.  A schedule that is the contiguous block 0..M is a single
+    run read as one block, keeping results independent of strategy wherever
+    the visited offsets coincide.
     """
     k = int(k)
     if k < 0 or len(history) <= k:
         raise ValueError(
             f"step {k} needs {k + 1} history entries, buffer holds {len(history)}"
         )
-    reach = int(schedule.cells[-1]) - 1
+    reach = schedule.reach
     if reach > k:
         raise ValueError(f"schedule reaches offset {reach}, beyond step {k}")
     if reach > table.capacity:
         raise ValueError(
             f"psi table covers offsets up to {table.capacity}, schedule needs {reach}"
         )
-    coeffs = entry_coefficients(schedule, table)
-    # Buffer entries in storage order run from the oldest offset to the
-    # newest, so each run's coefficients are flipped.
     runs = schedule.runs
-    if len(runs) == 1 and runs[0][2] == 0 and runs[0][3] == 1:
-        block = history.block(k - runs[0][1] + 1, k)
-        return np.einsum("t,txy->xy", coeffs[::-1], block)
+    block = len(runs) == 1 and runs[0][0] == 0 and runs[0][2] == 1
     total = None
-    for first, count, first_offset, stride in runs:
-        last_offset = first_offset + (count - 1) * stride
-        view = history.gather(k - last_offset, k - first_offset, stride)
-        part = np.einsum("t,txy->xy", coeffs[first : first + count][::-1], view)
+    for (m, count, stride), coeffs in zip(runs, entry_coefficients(schedule, table)):
+        last = m + (count - 1) * stride
+        if block:
+            view = history.block(k - last, k)
+        else:
+            view = history.gather(k - last, k - m, stride)
+        # Buffer entries in storage order run from the oldest offset to the
+        # newest, so each run's coefficients are flipped.
+        part = np.einsum("t,txy->xy", coeffs[::-1], view)
         if total is None:
             total = part
         else:
@@ -247,12 +273,13 @@ def step(
     k: int,
     config: SimulationConfig,
     table: PsiTable,
+    bound: float,
 ) -> np.ndarray:
     """Advance the field from step k to k+1 and record the new stencil field.
 
     Requires ``history`` to hold entries for steps 0..k already.  Returns the
-    new field; raises :class:`DivergenceError` if it contains non-finite
-    values (the bad field is not recorded).
+    new field; raises :class:`DivergenceError` if its peak |u| is above
+    ``bound`` or not finite (the bad field is not recorded).
     """
     schedule = config.strategy.schedule_at(k, config.dt)
     acc = history_sum(history, schedule, table, k)
@@ -263,9 +290,12 @@ def step(
     nxt[-1, :] = 0.0
     nxt[:, 0] = 0.0
     nxt[:, -1] = 0.0
-    if not np.isfinite(nxt).all():
-        finite = nxt[np.isfinite(nxt)]
-        peak = float(np.abs(finite).max()) if finite.size else math.inf
+    peak = float(np.abs(nxt).max())
+    # Also true for inf and nan.
+    if not peak <= bound:
+        if not math.isfinite(peak):
+            finite = nxt[np.isfinite(nxt)]
+            peak = float(np.abs(finite).max()) if finite.size else math.inf
         raise DivergenceError(k + 1, peak)
     history.append(stencil(nxt))
     return nxt
@@ -277,6 +307,8 @@ def run(config: SimulationConfig, *, progress_every: int = 0) -> SimulationResul
     Snapshots are taken at step 0, every ``snapshot_cadence`` steps, and at
     the final step.  ``progress_every`` > 0 logs a progress line every that
     many steps.  The reported wall time covers only the stepping loop.
+    A step whose peak |u| is not finite or exceeds ``GROWTH_LIMIT`` times the
+    initial peak raises :class:`DivergenceError`.
     """
     # The history is the run's one large allocation; claim it first so the
     # memory cap is checked before any other work is done.
@@ -288,6 +320,7 @@ def run(config: SimulationConfig, *, progress_every: int = 0) -> SimulationResul
     table = build_table(config.gamma, config.n_steps)
     u = config.initial_grid().data.copy()
     history.append(stencil(u))
+    bound = GROWTH_LIMIT * float(np.abs(u).max())
     snapshots: list[tuple[int, Grid2D]] = [(0, Grid2D(u.copy(), config.dx))]
     cadence = config.snapshot_cadence
 
@@ -296,7 +329,7 @@ def run(config: SimulationConfig, *, progress_every: int = 0) -> SimulationResul
     # step() reports it as a DivergenceError, not as a NumPy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.n_steps):
-            u = step(u, history, k, config, table)
+            u = step(u, history, k, config, table, bound)
             done = k + 1
             if done % cadence == 0 or done == config.n_steps:
                 if snapshots[-1][0] != done:

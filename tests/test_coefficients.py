@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracgrid.coefficients import PsiTable, build_table, partial_sum, psi
+from fracgrid.coefficients import PsiTable, build_table
 
 
 def oracle_psi(gamma: float, m: int) -> float:
@@ -16,22 +16,19 @@ def oracle_psi(gamma: float, m: int) -> float:
 
 
 def test_frozen_values_gamma_half():
-    assert psi(0.5, 0) == 1.0
-    assert psi(0.5, 1) == -0.5
-    assert psi(0.5, 2) == -0.125
-    assert psi(0.5, 3) == -0.0625
+    assert build_table(0.5, 3).values.tolist() == [1.0, -0.5, -0.125, -0.0625]
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.35, 0.5, 0.9, 1.0, 1.5, 1.99])
 def test_zeroth_weight_is_one(gamma):
-    assert psi(gamma, 0) == 1.0
+    assert build_table(gamma, 5).values[0] == 1.0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 10, 100])
 def test_gamma_one_collapses(m):
     # At gamma = 1 every weight beyond m = 0 is exactly zero, so the scheme
     # degenerates to the classical single-step update.
-    assert psi(1.0, m) == 0.0
+    assert build_table(1.0, m).values[m] == 0.0
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9, 1.5])
@@ -42,17 +39,12 @@ def test_recursion_matches_product_oracle(gamma):
         assert table.values[m] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def test_scalar_and_table_agree_bitwise():
-    table = build_table(0.7, 40)
-    for m in range(41):
-        assert psi(0.7, m) == table.values[m]
-
-
 def test_partial_sums_frozen():
+    # prefix[m + 1] is the sum of the weights from m = 0 through m
     table = build_table(0.5, 3)
-    assert partial_sum(table, 0) == 1.0
-    assert partial_sum(table, 1) == 0.5
-    assert partial_sum(table, 2) == 0.375
+    assert table.prefix[1] == 1.0
+    assert table.prefix[2] == 0.5
+    assert table.prefix[3] == 0.375
 
 
 @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.9])
@@ -74,21 +66,16 @@ def test_large_table_is_finite():
 def test_partial_sum_long_horizon_values():
     # Frozen against a 60-digit product-recursion sum (agrees to ~2e-15).
     table = build_table(0.5, 1000)
-    assert_allclose(partial_sum(table, 100), 0.05634847900925633, rtol=1e-13)
-    assert_allclose(partial_sum(table, 1000), 0.017839011145854074, rtol=1e-13)
+    assert_allclose(table.prefix[101], 0.05634847900925633, rtol=1e-13)
+    assert_allclose(table.prefix[1001], 0.017839011145854074, rtol=1e-13)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 2.0, 2.5, -1.0, float("nan")])
 def test_gamma_out_of_range(gamma):
     with pytest.raises(ValueError, match="gamma"):
-        psi(gamma, 1)
+        build_table(gamma, 1)
     with pytest.raises(ValueError, match="gamma"):
         build_table(gamma, 10)
-
-
-def test_negative_offset_rejected():
-    with pytest.raises(ValueError, match="m must be"):
-        psi(0.5, -1)
 
 
 def test_build_table_zero_steps():
@@ -101,14 +88,6 @@ def test_table_is_read_only():
     table = build_table(0.5, 5)
     with pytest.raises(ValueError):
         table.values[0] = 2.0
-
-
-def test_partial_sum_bounds():
-    table = build_table(0.5, 5)
-    with pytest.raises(ValueError):
-        partial_sum(table, 6)
-    with pytest.raises(ValueError):
-        partial_sum(table, -1)
 
 
 def test_table_validation():

@@ -9,7 +9,6 @@ from fracgrid.grid import (
     HistoryBuffer,
     HistoryCapacityError,
     MemoryBudgetError,
-    laplacian_field,
     slice_profile,
     stencil,
 )
@@ -113,8 +112,19 @@ def test_from_sources_rejects_boundary():
 
 
 def test_laplacian_field_matches_stencil():
-    grid = Grid2D.from_sources(5, 5, 1.0, [(2, 2, 10.0)])
-    assert np.array_equal(laplacian_field(grid), stencil(grid.data))
+    # The stencil of a grid's field, against the five-point sum cell by cell.
+    rng = np.random.default_rng(3)
+    data = np.zeros((6, 5))
+    data[1:-1, 1:-1] = rng.normal(size=(4, 3))
+    grid = Grid2D(data, 1.0)
+    expected = np.zeros_like(data)
+    for j in range(1, 5):
+        for l in range(1, 4):
+            expected[j, l] = (
+                data[j + 1, l] + data[j - 1, l] - 4.0 * data[j, l]
+                + data[j, l + 1] + data[j, l - 1]
+            )
+    assert np.array_equal(stencil(grid.data), expected)
 
 
 def test_slice_profile():

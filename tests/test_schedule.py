@@ -55,11 +55,9 @@ def test_adaptive_goldens():
     assert adaptive_schedule(9, 3).weight_sum == 10
     assert adaptive_schedule(20, 3).pairs() == GOLDEN_K20_A3
     assert adaptive_schedule(20, 3).weight_sum == 21
-    # (first entry, count, first offset, stride): head, bands, tail
-    assert adaptive_schedule(9, 3).runs == ((0, 4, 0, 1), (4, 2, 5, 3))
-    assert adaptive_schedule(20, 3).runs == (
-        (0, 4, 0, 1), (4, 2, 5, 3), (6, 2, 12, 5), (8, 1, 20, 1),
-    )
+    # (first offset, count, stride): head, bands, tail
+    assert adaptive_schedule(9, 3).runs == ((0, 4, 1), (5, 2, 3))
+    assert adaptive_schedule(20, 3).runs == ((0, 4, 1), (5, 2, 3), (12, 2, 5), (20, 1, 1))
 
 
 def test_adaptive_degenerates_to_full():
@@ -72,8 +70,7 @@ def test_adaptive_degenerates_to_full():
 def test_adaptive_deterministic():
     a = adaptive_schedule(260, 4)
     b = adaptive_schedule(260, 4)
-    assert np.array_equal(a.offsets, b.offsets)
-    assert np.array_equal(a.weights, b.weights)
+    assert a.runs == b.runs and a.spans == b.spans
 
 
 def test_coverage_full_schedule():
@@ -93,13 +90,26 @@ def test_coverage_golden_gap_case():
     assert stats.overlap_offsets == (65, 66)
 
 
+def _cells(sched):
+    """Cell bounds entry by entry: entry j stands for cells[j] <= x < cells[j+1].
+
+    Rebuilt from the runs and their spans: inside a run a cell starts
+    (stride - 1) // 2 before its offset, and the spans give the run's ends.
+    """
+    cells = []
+    for (m, count, stride), (lo, _) in zip(sched.runs, sched.spans):
+        cells.append(lo)
+        cells.extend(m + j * stride - (stride - 1) // 2 for j in range(1, count))
+    cells.append(sched.spans[-1][1])
+    return cells
+
+
 def test_cells_resolve_the_golden_gap_case():
-    # Entry j stands for cells[j] <= x < cells[j+1].  Where windows do not
-    # meet, the offsets between two samples go to the nearer one.
+    # Where windows do not meet, the offsets between two samples go to the
+    # nearer one.
     sched = adaptive_schedule(260, 4)
-    cells = dict(
-        zip(sched.offsets.tolist(), zip(sched.cells[:-1].tolist(), sched.cells[1:].tolist()))
-    )
+    bounds = _cells(sched)
+    cells = dict(zip(sched.offsets.tolist(), zip(bounds[:-1], bounds[1:])))
     # overlap 65..66 between the windows of 64 (62..66) and 68 (65..71)
     assert cells[64] == (62, 67) and cells[68] == (67, 72)
     # gap 254..256 between the window of 250 (247..253) and the tail at 257
@@ -131,16 +141,52 @@ def test_reference_cells_rule():
 def test_builder_cells_follow_the_rule(a):
     for k in range(0, 1600, 7):
         sched = adaptive_schedule(k, a)
-        assert sched.cells.tolist() == _reference_cells(sched.pairs()), k
+        assert _cells(sched) == _reference_cells(sched.pairs()), k
     for sched in (full_schedule(30), short_schedule(30, 10.0, 1.0)):
-        assert sched.cells.tolist() == _reference_cells(sched.pairs())
+        assert _cells(sched) == _reference_cells(sched.pairs())
+
+
+@pytest.mark.parametrize("a", [2, 3, 4, 5, 8, 12, 20, 100])
+def test_run_coefficients_match_the_cell_rule_bitwise(a):
+    # Oracle: the psi mass of each cell from the prefix sums,
+    # prefix[cells[1:]] - prefix[cells[:-1]], and psi[m] itself for a cell
+    # that is just its own offset.
+    table = build_table(0.5, 1600)
+
+    def check(sched):
+        cells = np.array(_reference_cells(sched.pairs()))
+        mass = table.prefix[cells]
+        expected = mass[1:] - mass[:-1]
+        single = cells[1:] - cells[:-1] == 1
+        expected[single] = table.values[sched.offsets[single]]
+        coeffs = entry_coefficients(sched, table)
+        assert len(coeffs) == len(sched.runs)
+        assert [c.size for c in coeffs] == [count for _, count, _ in sched.runs]
+        assert np.concatenate(coeffs).tobytes() == expected.tobytes()
+        return coeffs
+
+    for k in range(1600):
+        check(adaptive_schedule(k, a))
+    # one-offset cells at the ends of runs: a dense run cut short by splits
+    # at both ends, a one-entry band and the last cell of an even-stride run
+    for runs in (
+        ((0, 1, 5), (2, 2, 1), (9, 1, 5)),
+        ((0, 1, 1), (40, 1, 9), (42, 2, 1), (60, 1, 9)),
+        ((0, 1, 1), (2, 1, 5), (3, 1, 1)),
+        ((0, 1, 1), (1, 2, 2), (4, 1, 1)),
+    ):
+        check(MemorySchedule(runs))
+    for k in (0, 1, 30, 1599):
+        for sched in (full_schedule(k), short_schedule(k, 10.0, 1.0)):
+            # a dense run of unit cells reads the table in place
+            (coeffs,) = check(sched)
+            assert np.shares_memory(coeffs, table.values)
 
 
 def _expand_runs(runs):
     """The offsets a schedule's runs stand for, entry by entry."""
     offsets = []
-    for first, count, first_offset, stride in runs:
-        assert first == len(offsets)
+    for first_offset, count, stride in runs:
         offsets.extend(first_offset + t * stride for t in range(count))
     return offsets
 
@@ -151,9 +197,11 @@ def test_builder_runs_expand_to_offsets(a):
         sched = adaptive_schedule(k, a)
         assert _expand_runs(sched.runs) == sched.offsets.tolist(), k
         assert all(type(v) is int for run in sched.runs for v in run)
+        assert [w for _, w in sched.pairs()] == [s for _, c, s in sched.runs for _ in range(c)]
+        assert len(sched) == sched.offsets.size
         # a schedule that visits 0..k is one run, read as one block
         if sched.offsets.size == k + 1:
-            assert sched.runs == ((0, k + 1, 0, 1),), k
+            assert sched.runs == ((0, k + 1, 1),), k
         else:
             assert len(sched.runs) > 1
     for k in (0, 1, 30, 1599):
@@ -184,12 +232,18 @@ def test_adaptive_structure_property(a):
         assert offsets[0] == 0
         assert offsets[-1] <= k
         assert np.all(np.diff(offsets) > 0)
-        assert np.all(sched.weights >= 1)
         # the cells tile 0..k
-        assert sched.cells[0] == 0 and sched.cells[-1] == k + 1
+        cells = _cells(sched)
+        assert cells[0] == 0 and cells[-1] == k + 1 == sched.reach + 1
+        assert all(lo < hi for lo, hi in zip(cells, cells[1:]))
         if k > a + 2:
             # thinning must actually shrink the schedule
             assert len(sched) < k + 1
+
+
+def _coefficients(sched, table):
+    """Every entry's coefficient in offset order, as one array."""
+    return np.concatenate(entry_coefficients(sched, table))
 
 
 def test_adaptive_weighted_sum_accuracy():
@@ -202,9 +256,7 @@ def test_adaptive_weighted_sum_accuracy():
 
     def weighted(a):
         sched = adaptive_schedule(k, a)
-        return float(
-            np.sum(entry_coefficients(sched, table) * history[sched.offsets])
-        )
+        return float(np.sum(_coefficients(sched, table) * history[sched.offsets]))
 
     errors = [abs(weighted(a) - full_value) / abs(full_value) for a in (3, 5, 8, 12)]
     assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
@@ -218,54 +270,29 @@ def test_gamma_one_nullity():
     rng = np.random.default_rng(5)
     history = rng.uniform(0.5, 2.0, size=k + 1)
     for sched in (full_schedule(k), short_schedule(k, 10.0, 1.0), adaptive_schedule(k, 3)):
-        total = float(
-            np.sum(entry_coefficients(sched, table) * history[sched.offsets])
-        )
+        total = float(np.sum(_coefficients(sched, table) * history[sched.offsets]))
         assert total == history[0]
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        MemorySchedule(
-            offsets=np.array([0, 2, 2]),
-            weights=np.array([1, 1, 1]),
-            cells=np.arange(4),
-            runs=((0, 3, 0, 1),),
-        )
-    with pytest.raises(ValueError, match="positive"):
-        MemorySchedule(
-            offsets=np.array([0, 1]), weights=np.array([1, 0]), cells=np.arange(3),
-            runs=((0, 2, 0, 1),),
-        )
+    sched = MemorySchedule(((0, 2, 1), (4, 2, 3)))
+    assert sched.pairs() == [(0, 1), (1, 1), (4, 3), (7, 3)]
+    assert sched.spans == ((0, 3), (3, 9))
     with pytest.raises(ValueError, match="at least one"):
-        MemorySchedule(
-            offsets=np.array([], dtype=int), weights=np.array([], dtype=int),
-            cells=np.zeros(1), runs=(),
-        )
-    with pytest.raises(ValueError, match="cell"):
-        MemorySchedule(
-            offsets=np.array([0, 2]), weights=np.array([1, 1]), cells=np.array([0, 3, 4]),
-            runs=((0, 2, 0, 2),),
-        )
-    with pytest.raises(ValueError, match="cell"):
-        MemorySchedule(
-            offsets=np.array([0, 2]), weights=np.array([1, 1]), cells=np.array([0, 2]),
-            runs=((0, 2, 0, 2),),
-        )
-    # runs that disagree with the offsets
-    offsets, weights, cells = np.array([0, 1, 4, 7]), np.array([1, 1, 3, 3]), np.array([0, 1, 3, 6, 9])
-    MemorySchedule(offsets, weights, cells, runs=((0, 2, 0, 1), (2, 2, 4, 3)))
+        MemorySchedule(())
+    with pytest.raises(ValueError, match="at least one entry"):
+        MemorySchedule(((0, 2, 1), (4, 0, 3)))
+    with pytest.raises(ValueError, match="positive"):
+        MemorySchedule(((0, 2, 1), (4, 2, 0)))
+    with pytest.raises(ValueError, match=">= 0"):
+        MemorySchedule(((-1, 2, 1),))
     for runs in (
-        ((0, 4, 0, 1),),  # runs 0..3, the offsets end at 7
-        ((0, 2, 0, 1), (2, 2, 4, 2)),  # wrong stride
-        ((0, 2, 0, 1), (2, 2, 3, 3)),  # wrong first offset
-        ((0, 2, 0, 1), (3, 1, 7, 1)),  # skips entry 2
-        ((0, 2, 0, 1), (2, 1, 4, 3)),  # leaves entry 3 out
-        ((0, 2, 0, 1), (2, 0, 4, 3), (2, 2, 4, 3)),  # an empty run
-        ((0, 2, 0, 1), (2, 2, 4, 3), (4, 1, 10, 1)),  # past the last entry
+        ((0, 3, 1), (2, 1, 1)),  # overlaps: offset 2 twice
+        ((0, 2, 1), (4, 2, 3), (7, 1, 1)),  # overlaps the last offset 7
+        ((4, 2, 3), (0, 2, 1)),  # goes backwards
     ):
-        with pytest.raises(ValueError, match="runs"):
-            MemorySchedule(offsets, weights, cells, runs=runs)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            MemorySchedule(runs)
     with pytest.raises(ValueError):
         full_schedule(-1)
     with pytest.raises(ValueError, match="base"):

@@ -19,6 +19,7 @@ from fracgrid.schedule import (
     full_schedule,
 )
 from fracgrid.solver import (
+    GROWTH_LIMIT,
     DivergenceError,
     SimulationConfig,
     StabilityWarning,
@@ -258,7 +259,7 @@ def test_adaptive_coefficients_carry_full_weight_mass(gamma, k, base):
     # coefficients must add up to the weight mass of the whole history, also
     # where the geometric intervals join with gaps or overlaps.
     table = build_table(gamma, k)
-    coeffs = entry_coefficients(adaptive_schedule(k, base), table)
+    coeffs = np.concatenate(entry_coefficients(adaptive_schedule(k, base), table))
     expected = math.fsum(table.values[: k + 1])
     assert math.fsum(coeffs) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -266,11 +267,14 @@ def test_adaptive_coefficients_carry_full_weight_mass(gamma, k, base):
 def test_unit_cells_keep_psi_bitwise():
     table = build_table(0.5, 260)
     sched = adaptive_schedule(260, 4)
-    coeffs = entry_coefficients(sched, table)
-    single = np.diff(sched.cells) == 1
+    coeffs = np.concatenate(entry_coefficients(sched, table))
+    pairs = sched.pairs()
+    cell_sizes = np.bincount([_cell_owner(pairs, x) for x in range(261)], minlength=len(pairs))
+    single = cell_sizes == 1
     assert single.any() and not single.all()
     assert np.array_equal(coeffs[single], table.values[sched.offsets[single]])
-    assert np.array_equal(entry_coefficients(full_schedule(40), table), table.values[:41])
+    (full,) = entry_coefficients(full_schedule(40), table)
+    assert np.array_equal(full, table.values[:41])
 
 
 def test_history_sum_validation():
@@ -308,6 +312,39 @@ def test_divergence_reports_step():
     with pytest.raises(DivergenceError, match="step") as excinfo:
         run(config)
     assert excinfo.value.step > 0
+
+
+def _spike_config(alpha, strategy, n_steps=400):
+    return SimulationConfig(
+        gamma=0.5, alpha=alpha, beta=0.0, dt=1.0, dx=1.0, nx=21, ny=21,
+        n_steps=n_steps, sources=((10, 10, 1.0),), strategy=strategy,
+    )
+
+
+@pytest.mark.parametrize(
+    "alpha,strategy,at_step",
+    [
+        # above the bound 2**(gamma-3) = 0.17678: warned, and it blows up
+        pytest.param(
+            0.186, FullMemory(), 201,
+            marks=pytest.mark.filterwarnings("ignore::fracgrid.solver.StabilityWarning"),
+        ),
+        # below the full-memory bound, yet the thinned schedule grows
+        (0.1767, AdaptiveMemory(3), 324),
+    ],
+)
+def test_growth_guard_stops_a_finite_blow_up(alpha, strategy, at_step):
+    with pytest.raises(DivergenceError) as excinfo:
+        run(_spike_config(alpha, strategy))
+    # caught while the field is still finite, past GROWTH_LIMIT times the
+    # initial peak of 1
+    assert excinfo.value.step == at_step
+    assert GROWTH_LIMIT < excinfo.value.peak < math.inf
+
+
+def test_growth_guard_passes_a_stable_run():
+    result = run(replace(_spike_config(0.17, FullMemory()), snapshot_every=1))
+    assert max(np.abs(grid.data).max() for _, grid in result.snapshots) == 1.0
 
 
 def test_run_reports_elapsed_and_config():
