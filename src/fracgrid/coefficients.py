@@ -33,13 +33,19 @@ class PsiTable:
 
     ``values[m]`` holds psi(gamma, m) and ``prefix[x]`` the running sum of
     ``values[:x]``, so the psi mass of offsets lo..hi-1 is
-    ``prefix[hi] - prefix[lo]``.  Both arrays are read-only; a solver run
-    builds the table once up front and shares it across all steps.
+    ``prefix[hi] - prefix[lo]``.  ``reversed_values`` is ``values`` oldest
+    offset first, the order the history stores its fields in:
+    ``reversed_values[capacity - m]`` is psi(gamma, m), so the coefficients of
+    a dense run of offsets m..last are the contiguous slice
+    ``reversed_values[capacity - last : capacity - m + 1]``.  All three arrays
+    are read-only; a solver run builds the table once up front and shares it
+    across all steps.
     """
 
     gamma: float
     values: np.ndarray
     prefix: np.ndarray = field(init=False, repr=False, compare=False)
+    reversed_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.values.ndim != 1 or self.values.size < 1:
@@ -49,6 +55,9 @@ class PsiTable:
         np.cumsum(self.values, out=prefix[1:])
         prefix.setflags(write=False)
         object.__setattr__(self, "prefix", prefix)
+        reversed_values = self.values[::-1].copy()
+        reversed_values.setflags(write=False)
+        object.__setattr__(self, "reversed_values", reversed_values)
 
     @property
     def capacity(self) -> int:

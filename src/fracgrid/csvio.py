@@ -9,13 +9,17 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .benchmark import BenchmarkRecord
 from .grid import Grid2D
 from .schedule import MemorySchedule
+
+if TYPE_CHECKING:
+    # Annotations only: the writers must not load the benchmark driver and,
+    # through it, the solver.
+    from .benchmark import BenchmarkRecord
 
 BENCHMARK_HEADER = ("strategy", "param", "gamma", "elapsed_s", "err_l2_pct", "err_linf_pct")
 

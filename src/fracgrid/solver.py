@@ -6,8 +6,11 @@ Each step advances the field by
 
 where S_k is the weighted backward sum of stored stencil fields dictated by
 the active memory schedule.  The sum contracts each arithmetic run of the
-schedule over a strided view of the history, read in place.  A schedule that
-visits the contiguous offsets 0..M (full and short memory, and any truncated
+schedule with one BLAS matrix-vector product: the run's coefficients, stored
+oldest first like the history itself, times a strided view of the history
+read in place.  A dense run's coefficients are a slice of the psi table kept
+in that order, so no step reverses or copies them.  A schedule that visits
+the contiguous offsets 0..M (full and short memory, and any truncated
 schedule that happens to visit every offset) is one run and one contraction,
 so it reproduces the full-memory result bit for bit.
 """
@@ -180,37 +183,41 @@ class SimulationResult:
 def entry_coefficients(schedule: MemorySchedule, table: PsiTable) -> list[np.ndarray]:
     """Per-run coefficients: the psi mass of the offsets each entry stands for.
 
-    Returns one array per run, entry by entry.  Each entry gets the sum of
-    psi(x) over its cell (see :class:`MemorySchedule`), read off the table's
-    prefix sums with one strided slice per run: inside a run the cells start
-    ``stride`` offsets apart, and the run's span supplies its outer bounds.
-    An entry whose cell is just its own offset m gets psi(m) itself, bit for
-    bit, so full and short memory and any schedule that visits every offset
-    weigh history exactly alike; a dense run of unit cells is a view of the
-    table.
+    Returns one C-contiguous array per run in storage order, oldest entry
+    (the run's largest offset) first, which is the order the history keeps
+    its fields in, so each run contracts with its history view as is.  Each
+    entry gets the sum of psi(x) over its cell (see :class:`MemorySchedule`),
+    read off the table's prefix sums with one strided slice per run: inside a
+    run the cells start ``stride`` offsets apart, and the run's span supplies
+    its outer bounds.  An entry whose cell is just its own offset m gets
+    psi(m) itself, bit for bit, so full and short memory and any schedule
+    that visits every offset weigh history exactly alike; a dense run of
+    unit cells is a view of the table's ``reversed_values``, never a copy.
     """
-    values, prefix = table.values, table.prefix
+    values, prefix, rev = table.values, table.prefix, table.reversed_values
+    cap = table.capacity
     out = []
     for (m, count, stride), (lo, hi) in zip(schedule.runs, schedule.spans):
         last = m + (count - 1) * stride
         if stride == 1 and lo == m and hi == last + 1:
-            out.append(values[m : last + 1])
+            out.append(rev[cap - last : cap - m + 1])
             continue
-        # Cell bounds: lo, the start of every cell after the first, then hi.
+        # Cell bounds, oldest first: hi, the start of every cell but the
+        # newest, then lo.
         half = (stride - 1) // 2
         mass = np.empty(count + 1)
-        mass[0] = prefix[lo]
-        mass[1:-1] = prefix[m + stride - half : m + count * stride - half : stride]
-        mass[-1] = prefix[hi]
-        coeffs = mass[1:] - mass[:-1]
+        mass[0] = prefix[hi]
+        mass[1:-1] = prefix[m + stride - half : m + count * stride - half : stride][::-1]
+        mass[-1] = prefix[lo]
+        coeffs = mass[:-1] - mass[1:]
         if stride == 1:
-            coeffs[1:-1] = values[m + 1 : last]
+            coeffs[1:-1] = rev[cap - last + 1 : cap - m]
         first_end = hi if count == 1 else m + stride - half
         last_start = lo if count == 1 else last - half
         if first_end - lo == 1:
-            coeffs[0] = values[m]
+            coeffs[-1] = values[m]
         if hi - last_start == 1:
-            coeffs[-1] = values[last]
+            coeffs[0] = values[last]
         out.append(coeffs)
     return out
 
@@ -231,10 +238,11 @@ def history_sum(
 
     ``history`` holds one stencil field per completed step, oldest first, so
     offset m maps to buffer entry k - m.  Each run of the schedule is one
-    contraction over a view of the buffer, read in place, and the partial
-    sums are added.  A schedule that is the contiguous block 0..M is a single
-    run read as one block, keeping results independent of strategy wherever
-    the visited offsets coincide.
+    BLAS matrix-vector product of its storage-ordered coefficients with a
+    view of the buffer, read in place as a (count, nx*ny) matrix whose rows
+    are contiguous, and the partial sums are added.  A schedule that is the
+    contiguous block 0..M is a single run read as one block, keeping results
+    independent of strategy wherever the visited offsets coincide.
     """
     k = int(k)
     if k < 0 or len(history) <= k:
@@ -257,14 +265,12 @@ def history_sum(
             view = history.block(k - last, k)
         else:
             view = history.gather(k - last, k - m, stride)
-        # Buffer entries in storage order run from the oldest offset to the
-        # newest, so each run's coefficients are flipped.
-        part = np.einsum("t,txy->xy", coeffs[::-1], view)
+        part = coeffs @ view.reshape(count, -1)
         if total is None:
             total = part
         else:
             total += part
-    return total
+    return total.reshape(history.field_shape)
 
 
 def step(

@@ -1,7 +1,14 @@
 """Unit tests for deterministic CSV formatting and writers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import fracgrid
 
 from fracgrid.benchmark import BenchmarkRecord
 from fracgrid.csvio import (
@@ -153,3 +160,17 @@ def test_benchmark_csv_nan_errors(tmp_path):
     )
     text = format_benchmark_rows([rec])
     assert text.splitlines()[1] == "short,10,0.5,nan,nan,nan"
+
+
+def test_csvio_does_not_import_the_driver_or_solver():
+    src = str(Path(fracgrid.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    probe = (
+        "import sys, fracgrid.csvio; "
+        "print(sorted(m for m in ('fracgrid.benchmark', 'fracgrid.solver') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

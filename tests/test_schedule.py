@@ -150,7 +150,8 @@ def test_builder_cells_follow_the_rule(a):
 def test_run_coefficients_match_the_cell_rule_bitwise(a):
     # Oracle: the psi mass of each cell from the prefix sums,
     # prefix[cells[1:]] - prefix[cells[:-1]], and psi[m] itself for a cell
-    # that is just its own offset.
+    # that is just its own offset.  Each run's coefficients come in storage
+    # order, oldest entry first, so the oracle compares them reversed.
     table = build_table(0.5, 1600)
 
     def check(sched):
@@ -162,7 +163,13 @@ def test_run_coefficients_match_the_cell_rule_bitwise(a):
         coeffs = entry_coefficients(sched, table)
         assert len(coeffs) == len(sched.runs)
         assert [c.size for c in coeffs] == [count for _, count, _ in sched.runs]
-        assert np.concatenate(coeffs).tobytes() == expected.tobytes()
+        assert all(c.flags.c_contiguous for c in coeffs)
+        newest_first = np.concatenate([c[::-1] for c in coeffs])
+        assert newest_first.tobytes() == expected.tobytes()
+        for (m, count, stride), (lo, hi), c in zip(sched.runs, sched.spans, coeffs):
+            if stride == 1 and (lo, hi) == (m, m + count):
+                # a dense run of unit cells reads the table in place
+                assert np.shares_memory(c, table.reversed_values)
         return coeffs
 
     for k in range(1600):
@@ -178,9 +185,8 @@ def test_run_coefficients_match_the_cell_rule_bitwise(a):
         check(MemorySchedule(runs))
     for k in (0, 1, 30, 1599):
         for sched in (full_schedule(k), short_schedule(k, 10.0, 1.0)):
-            # a dense run of unit cells reads the table in place
             (coeffs,) = check(sched)
-            assert np.shares_memory(coeffs, table.values)
+            assert np.shares_memory(coeffs, table.reversed_values)
 
 
 def _expand_runs(runs):
@@ -243,7 +249,7 @@ def test_adaptive_structure_property(a):
 
 def _coefficients(sched, table):
     """Every entry's coefficient in offset order, as one array."""
-    return np.concatenate(entry_coefficients(sched, table))
+    return np.concatenate([c[::-1] for c in entry_coefficients(sched, table)])
 
 
 def test_adaptive_weighted_sum_accuracy():

@@ -2,13 +2,18 @@
 
 import logging
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fracgrid
 from fracgrid.coefficients import build_table
 from fracgrid.grid import HistoryBuffer, MemoryBudgetError, stencil
 from fracgrid.schedule import (
@@ -267,14 +272,50 @@ def test_adaptive_coefficients_carry_full_weight_mass(gamma, k, base):
 def test_unit_cells_keep_psi_bitwise():
     table = build_table(0.5, 260)
     sched = adaptive_schedule(260, 4)
-    coeffs = np.concatenate(entry_coefficients(sched, table))
+    coeffs = np.concatenate([c[::-1] for c in entry_coefficients(sched, table)])
     pairs = sched.pairs()
     cell_sizes = np.bincount([_cell_owner(pairs, x) for x in range(261)], minlength=len(pairs))
     single = cell_sizes == 1
     assert single.any() and not single.all()
     assert np.array_equal(coeffs[single], table.values[sched.offsets[single]])
     (full,) = entry_coefficients(full_schedule(40), table)
-    assert np.array_equal(full, table.values[:41])
+    assert np.array_equal(full[::-1], table.values[:41])
+
+
+# Final fields of full memory and adaptive:3 on a 60x60 grid for 300 steps,
+# written as raw bytes.  Each contraction there multiplies up to 301 x 3600
+# entries, far above the size at which OpenBLAS splits a gemv over threads.
+_FINAL_FIELDS_SCRIPT = """
+import sys
+from fracgrid.schedule import AdaptiveMemory, FullMemory
+from fracgrid.solver import SimulationConfig, run
+
+for strategy in (FullMemory(), AdaptiveMemory(3)):
+    config = SimulationConfig(
+        gamma=0.5, alpha=0.15, beta=0.0, dt=1.0, dx=1.0, nx=60, ny=60,
+        n_steps=300, sources=((15, 15, 1.0), (30, 40, 2.0), (45, 20, 1.5)),
+        strategy=strategy, snapshot_every=300,
+    )
+    sys.stdout.buffer.write(run(config).final.data.tobytes())
+"""
+
+
+def _final_fields_with_threads(threads):
+    env = {k: v for k, v in os.environ.items() if not k.endswith("NUM_THREADS")}
+    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
+    src = str(Path(fracgrid.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _FINAL_FIELDS_SCRIPT],
+        env=env, capture_output=True, check=True,
+    )
+    return done.stdout
+
+
+def test_final_fields_do_not_depend_on_blas_threads():
+    one = _final_fields_with_threads(1)
+    assert len(one) == 2 * 60 * 60 * 8
+    assert one == _final_fields_with_threads(2)
 
 
 def test_history_sum_validation():
