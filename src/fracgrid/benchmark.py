@@ -88,53 +88,43 @@ def run_comparison(
     if not gammas:
         raise ValueError("at least one gamma is required")
 
+    full = base_config.strategy
+    candidates = [ShortMemory(length=float(length)) for length in short_lengths] + [
+        AdaptiveMemory(base=int(base)) for base in adaptive_bases
+    ]
     records: list[BenchmarkRecord] = []
     for gamma in gammas:
         ref_config = replace(base_config, gamma=float(gamma))
         reference, ref_elapsed = _timed_run(ref_config, repeats)
         records.append(
             BenchmarkRecord(
-                strategy="full",
-                param=0.0,
+                strategy=full.tag,
+                param=full.param,
                 gamma=float(gamma),
                 elapsed_s=ref_elapsed,
                 err_l2_pct=0.0,
                 err_linf_pct=0.0,
             )
         )
-        candidates = [
-            ("short", float(length), ShortMemory(length=float(length)))
-            for length in short_lengths
-        ] + [
-            ("adaptive", float(base), AdaptiveMemory(base=int(base)))
-            for base in adaptive_bases
-        ]
-        for name, param, strategy in candidates:
+        for strategy in candidates:
             config = replace(ref_config, strategy=strategy)
             try:
                 result, elapsed = _timed_run(config, repeats)
             except DivergenceError as exc:
-                records.append(
-                    BenchmarkRecord(
-                        strategy=name,
-                        param=param,
-                        gamma=float(gamma),
-                        elapsed_s=float("nan"),
-                        err_l2_pct=float("nan"),
-                        err_linf_pct=float("nan"),
-                        message=str(exc),
-                    )
-                )
-                continue
-            err_l2, err_linf = relative_error(result.final, reference.final)
+                elapsed = err_l2 = err_linf = float("nan")
+                message = str(exc)
+            else:
+                err_l2, err_linf = relative_error(result.final, reference.final)
+                message = ""
             records.append(
                 BenchmarkRecord(
-                    strategy=name,
-                    param=param,
+                    strategy=strategy.tag,
+                    param=strategy.param,
                     gamma=float(gamma),
                     elapsed_s=elapsed,
                     err_l2_pct=err_l2,
                     err_linf_pct=err_linf,
+                    message=message,
                 )
             )
     records.sort(key=lambda r: (r.gamma, r.strategy, r.param))
@@ -149,7 +139,6 @@ class GammaSweepEntry:
     profile: np.ndarray
     trace_steps: np.ndarray
     trace_values: np.ndarray
-    elapsed_seconds: float
 
 
 def source_cell(config: SimulationConfig) -> tuple[int, int]:
@@ -158,6 +147,16 @@ def source_cell(config: SimulationConfig) -> tuple[int, int]:
         j, l, _ = max(config.sources, key=lambda s: (abs(s[2]), -s[0], -s[1]))
         return int(j), int(l)
     return config.nx // 2, config.ny // 2
+
+
+def profile_and_trace(
+    result: SimulationResult, cell: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Final profile through ``cell``'s row, snapshot steps, cell value at each."""
+    j, l = cell
+    steps = np.array([s for s, _ in result.snapshots], dtype=np.int64)
+    values = np.array([grid.data[j, l] for _, grid in result.snapshots], dtype=np.float64)
+    return slice_profile(result.final, l), steps, values
 
 
 def gamma_sweep(
@@ -173,21 +172,9 @@ def gamma_sweep(
         raise ValueError("gamma sweeps use the full-memory strategy")
     if not gammas:
         raise ValueError("at least one gamma is required")
-    j, l = source_cell(base_config)
+    cell = source_cell(base_config)
     entries: list[GammaSweepEntry] = []
     for gamma in gammas:
         result = run(replace(base_config, gamma=float(gamma)))
-        steps = np.array([s for s, _ in result.snapshots], dtype=np.int64)
-        values = np.array(
-            [grid.data[j, l] for _, grid in result.snapshots], dtype=np.float64
-        )
-        entries.append(
-            GammaSweepEntry(
-                gamma=float(gamma),
-                profile=slice_profile(result.final, l),
-                trace_steps=steps,
-                trace_values=values,
-                elapsed_seconds=result.elapsed_seconds,
-            )
-        )
+        entries.append(GammaSweepEntry(float(gamma), *profile_and_trace(result, cell)))
     return entries

@@ -40,6 +40,7 @@ def _export_thread_cap() -> str | None:
 _THREAD_CAP_ERROR = _export_thread_cap()
 
 import argparse
+import dataclasses
 import datetime as _dt
 import json
 import logging
@@ -48,11 +49,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .benchmark import gamma_sweep, run_comparison, source_cell
+from .benchmark import gamma_sweep, profile_and_trace, run_comparison, source_cell
 from .config import (
     BENCHMARK_SCENARIO,
-    ConfigError,
+    SIM_KEYS,
     SPREAD_SCENARIO,
+    SWEEP_KEYS,
+    ConfigError,
     build_simulation,
     build_sweep,
     config_as_dict,
@@ -68,7 +71,6 @@ from .csvio import (
     write_schedule_csv,
     write_trace_csv,
 )
-from .grid import slice_profile
 from .schedule import coverage_report, parse_memory_spec
 from .solver import DivergenceError, run
 from .svgplot import Series, write_line_plot
@@ -156,20 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides_from_args(args: argparse.Namespace, *, sweep: bool) -> dict:
-    over = {
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "dt": args.dt,
-        "dx": args.dx,
-        "grid": args.grid,
-        "steps": args.steps,
-        "snapshot_every": args.snapshot_every,
-        "memory_cap": args.memory_cap,
-        "sources": None,
-        "gamma": None if sweep else args.gamma,
-        "memory": None if sweep else args.memory,
-    }
+def _overrides_from_args(args: argparse.Namespace) -> dict:
+    # A command without a key's flag (gamma and memory for sweeps) leaves it unset.
+    over = {key: getattr(args, key, None) for key in SIM_KEYS}
     if args.source:
         over["sources"] = tuple(parse_source(s) for s in args.source)
     if args.initial_grid:
@@ -187,10 +178,14 @@ def _overrides_from_args(args: argparse.Namespace, *, sweep: bool) -> dict:
     return over
 
 
-def _resolve_simulation(args: argparse.Namespace, *, sweep: bool, defaults=None):
+def _resolve_simulation(args: argparse.Namespace, *, defaults=None):
     file_map = load_config_file(args.config) if args.config else {}
-    overrides = _overrides_from_args(args, sweep=sweep)
+    overrides = _overrides_from_args(args)
     return build_simulation(file_map, overrides, defaults), file_map
+
+
+def _resolve_sweep(args: argparse.Namespace, file_map):
+    return build_sweep(file_map, {key: getattr(args, key, None) for key in SWEEP_KEYS})
 
 
 def _utc_now() -> str:
@@ -244,16 +239,14 @@ def _progress_every(n_steps: int, verbose: bool) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config, _ = _resolve_simulation(args, sweep=False)
+    config, _ = _resolve_simulation(args)
     out = _Artifacts(args.out_dir, "simulate")
     result = run(config, progress_every=_progress_every(config.n_steps, args.verbose))
 
     j, l = source_cell(config)
+    profile, steps, values = profile_and_trace(result, (j, l))
     write_grid_csv(result.final, out.path("grid_final.csv"))
-    profile = slice_profile(result.final, l)
     write_profile_csv(profile, out.path("profile.csv"))
-    steps = np.array([s for s, _ in result.snapshots], dtype=np.int64)
-    values = np.array([g.data[j, l] for _, g in result.snapshots])
     write_trace_csv(steps, values, out.path("trace.csv"))
 
     snap_dir = os.path.join(args.out_dir, "snapshots")
@@ -275,14 +268,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
-    config, file_map = _resolve_simulation(args, sweep=True, defaults=BENCHMARK_SCENARIO)
-    sweep_over = {
-        "gammas": args.gammas,
-        "short_lengths": args.short_lengths,
-        "adaptive_bases": args.adaptive_bases,
-        "repeats": args.repeats,
-    }
-    spec = build_sweep(file_map, sweep_over)
+    config, file_map = _resolve_simulation(args, defaults=BENCHMARK_SCENARIO)
+    spec = _resolve_sweep(args, file_map)
     out = _Artifacts(args.out_dir, "benchmark")
 
     records = run_comparison(
@@ -334,24 +321,13 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
                 log_y=True,
             )
 
-    out.finish(
-        config_as_dict(config),
-        extra={
-            "sweep": {
-                "gammas": list(spec.gammas),
-                "short_lengths": list(spec.short_lengths),
-                "adaptive_bases": list(spec.adaptive_bases),
-                "repeats": spec.repeats,
-            }
-        },
-    )
+    out.finish(config_as_dict(config), extra={"sweep": dataclasses.asdict(spec)})
     return EXIT_OK
 
 
 def _cmd_sweep_gamma(args: argparse.Namespace) -> int:
-    config, file_map = _resolve_simulation(args, sweep=True, defaults=SPREAD_SCENARIO)
-    sweep_over = {"gammas": args.gammas}
-    spec = build_sweep(file_map, sweep_over)
+    config, file_map = _resolve_simulation(args, defaults=SPREAD_SCENARIO)
+    spec = _resolve_sweep(args, file_map)
     out = _Artifacts(args.out_dir, "sweep-gamma")
 
     entries = gamma_sweep(config, spec.gammas)

@@ -9,21 +9,16 @@ almost nothing to rounding for moderate m.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-GAMMA_MIN = 0.0
-GAMMA_MAX = 2.0
 
-
-def _checked_gamma(gamma: float) -> float:
+def checked_gamma(gamma: float) -> float:
+    """``gamma`` as a float; ValueError unless it lies in (0, 1], its one domain."""
     gamma = float(gamma)
-    if not math.isfinite(gamma) or not GAMMA_MIN < gamma < GAMMA_MAX:
-        raise ValueError(
-            f"gamma must lie in the open interval ({GAMMA_MIN}, {GAMMA_MAX}), got {gamma!r}"
-        )
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
     return gamma
 
 
@@ -72,9 +67,9 @@ def build_table(gamma: float, n_steps: int) -> PsiTable:
 
         psi(gamma, m) = -psi(gamma, m - 1) * (2 - gamma - m) / m,
 
-    with gamma in (0, 2).  The table is filled by one sequential pass.
+    with gamma in (0, 1].  The table is filled by one sequential pass.
     """
-    gamma = _checked_gamma(gamma)
+    gamma = checked_gamma(gamma)
     n_steps = int(n_steps)
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")

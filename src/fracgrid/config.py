@@ -29,12 +29,12 @@ name rather than ignored.
 from __future__ import annotations
 
 import configparser
-import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
+from .coefficients import checked_gamma
 from .grid import DEFAULT_HISTORY_BYTE_CAP
-from .schedule import format_memory_spec, parse_memory_spec
+from .schedule import AdaptiveMemory, ShortMemory, format_memory_spec, parse_memory_spec
 from .solver import SimulationConfig
 
 
@@ -42,7 +42,9 @@ class ConfigError(ValueError):
     """A configuration file or flag value is malformed or out of range."""
 
 
-_SIM_KEYS = (
+# The [simulation] keys; each is also the destination of its command-line
+# flag and a key of config_as_dict.
+SIM_KEYS = (
     "gamma",
     "alpha",
     "beta",
@@ -54,7 +56,6 @@ _SIM_KEYS = (
     "snapshot_every",
     "memory_cap",
 )
-_SWEEP_KEYS = ("gammas", "short_lengths", "adaptive_bases", "repeats")
 
 _SIM_DEFAULTS: dict[str, Any] = {
     "alpha": 1.0,
@@ -67,6 +68,19 @@ _SIM_DEFAULTS: dict[str, Any] = {
 DEFAULT_GAMMAS = (0.5, 0.75, 0.9, 1.0)
 DEFAULT_SHORT_LENGTHS = (10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 1500.0)
 DEFAULT_ADAPTIVE_BASES = (3, 4, 5, 8, 12, 20, 40, 100)
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Strategy grid for a benchmark comparison; its fields are the [sweep] keys."""
+
+    gammas: tuple[float, ...] = DEFAULT_GAMMAS
+    short_lengths: tuple[float, ...] = DEFAULT_SHORT_LENGTHS
+    adaptive_bases: tuple[int, ...] = DEFAULT_ADAPTIVE_BASES
+    repeats: int = 1
+
+
+SWEEP_KEYS = tuple(f.name for f in fields(SweepSpec))
 
 # Bundled point-source benchmark scenario: a single strong source in the
 # middle of a small grid, run long enough that the history cost dominates.
@@ -142,14 +156,11 @@ def parse_source(raw: str) -> tuple[int, int, float]:
     )
 
 
-def _parse_list(key: str, raw: Any, kind: str) -> tuple:
-    if isinstance(raw, (tuple, list)):
-        items = list(raw)
-    else:
-        items = [p for p in (s.strip() for s in str(raw).split(",")) if p]
+def _parse_list(key: str, raw: Any, kind: type) -> tuple:
+    items = [p for p in (s.strip() for s in str(raw).split(",")) if p]
     if not items:
         raise ConfigError(f"{key}: empty list")
-    if kind == "int":
+    if kind is int:
         return tuple(_parse_int(key, p) for p in items)
     return tuple(_parse_float(key, p) for p in items)
 
@@ -164,8 +175,6 @@ def load_config_file(path: str) -> dict[str, dict[str, Any]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError:
-        raise
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -177,7 +186,7 @@ def load_config_file(path: str) -> dict[str, dict[str, Any]]:
     if parser.has_section("simulation"):
         sim = dict(parser.items("simulation"))
         for key in sim:
-            if key not in _SIM_KEYS:
+            if key not in SIM_KEYS:
                 raise ConfigError(f"{path}: unknown key '{key}' in [simulation]")
         result["simulation"] = sim
     if parser.has_section("sources"):
@@ -185,7 +194,7 @@ def load_config_file(path: str) -> dict[str, dict[str, Any]]:
     if parser.has_section("sweep"):
         sweep = dict(parser.items("sweep"))
         for key in sweep:
-            if key not in _SWEEP_KEYS:
+            if key not in SWEEP_KEYS:
                 raise ConfigError(f"{path}: unknown key '{key}' in [sweep]")
         result["sweep"] = sweep
     return result
@@ -240,15 +249,11 @@ def build_simulation(
     snapshot_every = merged.get("snapshot_every")
     if snapshot_every is not None:
         snapshot_every = _parse_int("snapshot_every", snapshot_every)
-    memory_cap = merged.get("memory_cap")
-    if memory_cap is not None:
-        memory_cap = _parse_int("memory_cap", memory_cap)
-    memory = merged["memory"]
-    if isinstance(memory, str):
-        try:
-            memory = parse_memory_spec(memory)
-        except ValueError as exc:
-            raise ConfigError(f"memory: {exc}") from None
+    memory_cap = _parse_int("memory_cap", merged["memory_cap"])
+    try:
+        memory = parse_memory_spec(merged["memory"])
+    except ValueError as exc:
+        raise ConfigError(f"memory: {exc}") from None
 
     try:
         return SimulationConfig(
@@ -265,77 +270,47 @@ def build_simulation(
             snapshot_every=snapshot_every,
             history_byte_cap=memory_cap,
         )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Strategy grid for a benchmark comparison."""
-
-    gammas: tuple[float, ...] = DEFAULT_GAMMAS
-    short_lengths: tuple[float, ...] = DEFAULT_SHORT_LENGTHS
-    adaptive_bases: tuple[int, ...] = DEFAULT_ADAPTIVE_BASES
-    repeats: int = 1
 
 
 def build_sweep(
     file_map: Mapping[str, Mapping[str, Any]],
     overrides: Mapping[str, Any],
 ) -> SweepSpec:
-    """Merge the [sweep] section with CLI overrides."""
+    """Merge the [sweep] section with CLI overrides; defaults fill the rest.
+
+    Each value is checked by the gamma check or the strategy it builds, so a
+    bad one is rejected before any run.
+    """
     merged: dict[str, Any] = {}
     merged.update(file_map.get("sweep", {}))
     merged.update({k: v for k, v in overrides.items() if v is not None})
 
-    spec = SweepSpec(
-        gammas=_parse_list("gammas", merged["gammas"], "float")
-        if "gammas" in merged
-        else DEFAULT_GAMMAS,
-        short_lengths=_parse_list("short_lengths", merged["short_lengths"], "float")
-        if "short_lengths" in merged
-        else DEFAULT_SHORT_LENGTHS,
-        adaptive_bases=_parse_list("adaptive_bases", merged["adaptive_bases"], "int")
-        if "adaptive_bases" in merged
-        else DEFAULT_ADAPTIVE_BASES,
-        repeats=_parse_int("repeats", merged["repeats"]) if "repeats" in merged else 1,
-    )
+    given: dict[str, Any] = {}
+    for f in fields(SweepSpec):
+        if f.name not in merged:
+            continue
+        raw = merged[f.name]
+        # A tuple default makes the key a comma-separated list of its type.
+        if isinstance(f.default, tuple):
+            given[f.name] = _parse_list(f.name, raw, type(f.default[0]))
+        else:
+            given[f.name] = _parse_int(f.name, raw)
+    spec = SweepSpec(**given)
     if spec.repeats < 1:
         raise ConfigError(f"repeats: must be >= 1, got {spec.repeats}")
-    for gamma in spec.gammas:
-        if not 0.0 < gamma <= 1.0:
-            raise ConfigError(f"gammas: each value must lie in (0, 1], got {gamma}")
+    for key, check in (
+        ("gammas", checked_gamma),
+        ("short_lengths", ShortMemory),
+        ("adaptive_bases", AdaptiveMemory),
+    ):
+        for value in getattr(spec, key):
+            try:
+                check(value)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
     return spec
-
-
-def serialize_config(config: SimulationConfig) -> str:
-    """Config as INI text that parses back to an identical configuration."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    sim: dict[str, str] = {
-        "gamma": repr(config.gamma),
-        "alpha": repr(config.alpha),
-        "beta": repr(config.beta),
-        "dt": repr(config.dt),
-        "dx": repr(config.dx),
-        "grid": f"{config.nx}x{config.ny}",
-        "steps": str(config.n_steps),
-        "memory": format_memory_spec(config.strategy),
-    }
-    if config.snapshot_every is not None:
-        sim["snapshot_every"] = str(config.snapshot_every)
-    if config.history_byte_cap is not None:
-        sim["memory_cap"] = str(config.history_byte_cap)
-    parser["simulation"] = sim
-    if config.sources:
-        parser["sources"] = {
-            f"{j},{l}": repr(value) for j, l, value in config.sources
-        }
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
 
 
 def config_as_dict(config: SimulationConfig) -> dict[str, Any]:

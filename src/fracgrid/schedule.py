@@ -146,7 +146,12 @@ def short_schedule(k: int, length: float, dt: float) -> MemorySchedule:
         raise ValueError(f"memory length must be positive and finite, got {length!r}")
     if not dt > 0 or not math.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    horizon = min(int(math.floor(length / dt)), k)
+    # A ratio just below an integer is that integer: dt may not be exact in
+    # binary (0.3 / 0.1 == 2.9999999999999996).
+    ratio = length / dt
+    nearest = round(ratio)
+    steps = nearest if math.isclose(ratio, nearest, rel_tol=1e-9) else math.floor(ratio)
+    horizon = min(steps, k)
     return MemorySchedule(((0, horizon + 1, 1),))
 
 
@@ -206,7 +211,6 @@ def adaptive_schedule(k: int, base: int) -> MemorySchedule:
 class CoverageStats:
     """How a schedule's weighted samples tile the offsets 0..k."""
 
-    k: int
     entry_count: int
     weight_sum: int
     gap_count: int
@@ -235,7 +239,6 @@ def coverage_report(schedule: MemorySchedule, k: int) -> CoverageStats:
     gaps = np.flatnonzero(counts == 0)
     overlaps = np.flatnonzero(counts > 1)
     return CoverageStats(
-        k=k,
         entry_count=len(schedule),
         weight_sum=schedule.weight_sum,
         gap_count=int(gaps.size),

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import PsiTable, build_table
+from .coefficients import PsiTable, build_table, checked_gamma
 from .grid import (
     DEFAULT_HISTORY_BYTE_CAP,
     Grid2D,
@@ -50,6 +50,11 @@ def stability_limit(gamma: float) -> float:
     weights' generating function at z = 1/g.  The factor leaves the unit disc
     at g = -1, where r = 2**(gamma - 3): 0.25 for classical diffusion and
     less for subdiffusion.
+
+    This is the full-memory bound.  A thinned schedule weighs the history
+    differently and can diverge just below it (adaptive:3 at gamma 0.5 and
+    ratio 0.1767 grows past ``GROWTH_LIMIT`` by step 324); the growth guard
+    in :func:`step` is what stops such a run.
     """
     return 2.0 ** (gamma - 3.0)
 
@@ -66,7 +71,12 @@ class DivergenceError(RuntimeError):
 
 
 class StabilityWarning(UserWarning):
-    """The explicit-step stability heuristic is exceeded; results may blow up."""
+    """The stability ratio exceeds the full-memory bound; results may blow up.
+
+    The bound is :func:`stability_limit`.  Staying under it does not make a
+    thinned schedule stable; a run that diverges raises
+    :class:`DivergenceError` either way.
+    """
 
 
 @dataclass(frozen=True)
@@ -111,8 +121,7 @@ class SimulationConfig:
     history_byte_cap: int | None = DEFAULT_HISTORY_BYTE_CAP
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma!r}")
+        checked_gamma(self.gamma)
         if not self.alpha >= 0.0 or not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
         if not self.beta >= 0.0 or not math.isfinite(self.beta):
@@ -174,10 +183,6 @@ class SimulationResult:
     snapshots: tuple[tuple[int, Grid2D], ...]
     final: Grid2D
     elapsed_seconds: float
-
-    @property
-    def n_steps(self) -> int:
-        return self.config.n_steps
 
 
 def entry_coefficients(schedule: MemorySchedule, table: PsiTable) -> list[np.ndarray]:
@@ -338,16 +343,14 @@ def run(config: SimulationConfig, *, progress_every: int = 0) -> SimulationResul
             u = step(u, history, k, config, table, bound)
             done = k + 1
             if done % cadence == 0 or done == config.n_steps:
-                if snapshots[-1][0] != done:
-                    snapshots.append((done, Grid2D(u.copy(), config.dx)))
+                snapshots.append((done, Grid2D(u.copy(), config.dx)))
             if progress_every > 0 and done % progress_every == 0:
                 log.info("step %d/%d", done, config.n_steps)
     elapsed = time.perf_counter() - start
 
-    final = snapshots[-1][1] if snapshots[-1][0] == config.n_steps else Grid2D(u, config.dx)
     return SimulationResult(
         config=config,
         snapshots=tuple(snapshots),
-        final=final,
+        final=snapshots[-1][1],
         elapsed_seconds=elapsed,
     )

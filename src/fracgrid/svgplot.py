@@ -24,6 +24,8 @@ PALETTE = (
     "#7f7f7f",
 )
 
+_WIDTH = 840
+_HEIGHT = 520
 _MARGIN_LEFT = 74.0
 _MARGIN_RIGHT = 22.0
 _MARGIN_TOP = 42.0
@@ -76,11 +78,11 @@ def _linear_ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
-def _prepare_axis(values: np.ndarray, log: bool, axis: str) -> tuple[float, float]:
+def _prepare_axis(values: np.ndarray, log: bool) -> tuple[float, float]:
     """Padded data range for one axis, in plot coordinates (log10 if log)."""
     if log:
         if np.any(values <= 0.0):
-            raise ValueError(f"log-scale {axis} axis requires positive values")
+            raise ValueError("log-scale y axis requires positive values")
         values = np.log10(values)
     lo = float(values.min())
     hi = float(values.max())
@@ -109,31 +111,27 @@ def write_line_plot(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    log_x: bool = False,
     log_y: bool = False,
-    width: int = 840,
-    height: int = 520,
 ) -> None:
     """Write a multi-series line plot as a self-contained SVG file.
 
     Series are drawn in the given order, cycling through a fixed palette,
-    with a legend in the upper-right corner of the plot area.  Log axes use
-    decade ticks and require strictly positive data on that axis.
+    with a legend in the upper-right corner of the plot area.  A log y axis
+    uses decade ticks and requires strictly positive y data.
     """
     if not series:
         raise ValueError("at least one series is required")
 
     all_x = np.concatenate([s.x for s in series])
     all_y = np.concatenate([s.y for s in series])
-    x_lo, x_hi = _prepare_axis(all_x, log_x, "x")
-    y_lo, y_hi = _prepare_axis(all_y, log_y, "y")
+    x_lo, x_hi = _prepare_axis(all_x, False)
+    y_lo, y_hi = _prepare_axis(all_y, log_y)
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(v: float) -> float:
-        c = math.log10(v) if log_x else v
-        return _MARGIN_LEFT + (c - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(v: float) -> float:
         c = math.log10(v) if log_y else v
@@ -146,13 +144,13 @@ def write_line_plot(
 
     out: list[str] = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     if title:
         out.append(
-            f'<text x="{_num(width / 2)}" y="24" font-family="sans-serif" '
+            f'<text x="{_num(_WIDTH / 2)}" y="24" font-family="sans-serif" '
             f'font-size="15" text-anchor="middle">{_escape(title)}</text>'
         )
 
@@ -167,8 +165,8 @@ def write_line_plot(
         )
 
     # Ticks, labels and faint gridlines
-    for pos, label in _axis_ticks(x_lo, x_hi, log_x):
-        x = _MARGIN_LEFT + (pos - x_lo) / (x_hi - x_lo) * plot_w
+    for pos, label in _axis_ticks(x_lo, x_hi, False):
+        x = px(pos)
         out.append(
             f'<line x1="{_num(x)}" y1="{_num(top)}" x2="{_num(x)}" y2="{_num(bottom)}" '
             f'stroke="#dddddd" stroke-width="1"/>'
@@ -198,7 +196,7 @@ def write_line_plot(
 
     if x_label:
         out.append(
-            f'<text x="{_num(left + plot_w / 2)}" y="{_num(height - 14)}" '
+            f'<text x="{_num(left + plot_w / 2)}" y="{_num(_HEIGHT - 14)}" '
             f'font-family="sans-serif" font-size="13" text-anchor="middle">'
             f"{_escape(x_label)}</text>"
         )

@@ -140,7 +140,6 @@ class TestGammaSweep:
             assert entry.profile.shape == (10,)
             assert entry.trace_steps.tolist() == [0, 5, 10, 15, 20]
             assert entry.trace_values[0] == 10.0  # initial condition at the source
-            assert entry.elapsed_seconds >= 0.0
 
     def test_subdiffusion_keeps_more_mass_at_source(self):
         entries = gamma_sweep(small_config(), (0.5, 1.0))

@@ -6,8 +6,16 @@ import os
 import numpy as np
 import pytest
 
+import fracgrid.benchmark as benchmark_mod
 import fracgrid.cli as cli
 from fracgrid.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
+from fracgrid.config import (
+    BENCHMARK_SCENARIO,
+    SIM_KEYS,
+    SWEEP_KEYS,
+    build_simulation,
+    config_as_dict,
+)
 from fracgrid.csvio import read_grid_csv
 
 SIM_FLAGS = [
@@ -230,6 +238,47 @@ def test_benchmark_rejects_bad_sweep(tmp_path, capsys):
     )
     assert rc == EXIT_CONFIG
     assert "gammas" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value,key",
+    [("--short-lengths", "-5", "short_lengths"), ("--adaptive-bases", "1", "adaptive_bases")],
+)
+def test_benchmark_rejects_bad_strategies_before_any_run(
+    tmp_path, capsys, monkeypatch, flag, value, key
+):
+    runs = []
+    real_run = benchmark_mod.run
+
+    def counting_run(config, **kwargs):
+        runs.append(config)
+        return real_run(config, **kwargs)
+
+    monkeypatch.setattr(benchmark_mod, "run", counting_run)
+    rc = main(
+        [
+            "benchmark", "--out-dir", str(tmp_path / "x"), *BENCH_FLAGS,
+            "--gammas", "0.5,0.75", flag, value,
+        ]
+    )
+    assert rc == EXIT_CONFIG
+    assert runs == []
+    assert key in capsys.readouterr().err
+
+
+def test_each_setting_is_spelled_once():
+    # A setting added in one of these places only fails here.
+    parser = cli.build_parser()
+    simulate = set(vars(parser.parse_args(["simulate"])))
+    benchmark = set(vars(parser.parse_args(["benchmark"])))
+    config = build_simulation({}, {}, BENCHMARK_SCENARIO)
+    assert len(set(SIM_KEYS)) == len(SIM_KEYS)
+    assert set(SIM_KEYS) == set(config_as_dict(config)) - {"sources"}
+    assert set(SIM_KEYS) <= simulate
+    assert simulate - set(SIM_KEYS) == {
+        "command", "handler", "verbose", "config", "out_dir", "source", "initial_grid",
+    }
+    assert benchmark - simulate == set(SWEEP_KEYS)
 
 
 def test_sweep_gamma_artifacts(tmp_path):

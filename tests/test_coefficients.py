@@ -19,7 +19,7 @@ def test_frozen_values_gamma_half():
     assert build_table(0.5, 3).values.tolist() == [1.0, -0.5, -0.125, -0.0625]
 
 
-@pytest.mark.parametrize("gamma", [0.1, 0.35, 0.5, 0.9, 1.0, 1.5, 1.99])
+@pytest.mark.parametrize("gamma", [0.1, 0.35, 0.5, 0.9, 1.0])
 def test_zeroth_weight_is_one(gamma):
     assert build_table(gamma, 5).values[0] == 1.0
 
@@ -31,7 +31,7 @@ def test_gamma_one_collapses(m):
     assert build_table(1.0, m).values[m] == 0.0
 
 
-@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9, 1.5])
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
 def test_recursion_matches_product_oracle(gamma):
     table = build_table(gamma, 50)
     for m in range(51):
@@ -70,7 +70,7 @@ def test_partial_sum_long_horizon_values():
     assert_allclose(table.prefix[1001], 0.017839011145854074, rtol=1e-13)
 
 
-@pytest.mark.parametrize("gamma", [0.0, 2.0, 2.5, -1.0, float("nan")])
+@pytest.mark.parametrize("gamma", [0.0, 1.5, 2.0, 2.5, -1.0, float("nan")])
 def test_gamma_out_of_range(gamma):
     with pytest.raises(ValueError, match="gamma"):
         build_table(gamma, 1)

@@ -1,4 +1,4 @@
-"""Unit tests for config files, flag merging and serialization."""
+"""Unit tests for config files and flag merging."""
 
 import pytest
 
@@ -15,9 +15,8 @@ from fracgrid.config import (
     load_config_file,
     parse_grid_size,
     parse_source,
-    serialize_config,
 )
-from fracgrid.schedule import AdaptiveMemory, FullMemory, ShortMemory
+from fracgrid.schedule import AdaptiveMemory, FullMemory, ShortMemory, format_memory_spec
 from fracgrid.solver import SimulationConfig
 
 BASIC_INI = """
@@ -130,6 +129,24 @@ def test_parse_source():
     [FullMemory(), ShortMemory(100.0), ShortMemory(12.5), AdaptiveMemory(7)],
 )
 def test_round_trip(tmp_path, strategy):
+    # Every [simulation] key, and a negative source, read back exactly.
+    text = f"""
+[simulation]
+gamma = 0.9
+alpha = 0.75
+beta = 0.0125
+dt = 0.5
+dx = 5.0
+grid = 12x14
+steps = 64
+memory = {format_memory_spec(strategy)}
+snapshot_every = 8
+memory_cap = 123456789
+
+[sources]
+3,3 = 0.1
+4,5 = -0.25
+"""
     config = SimulationConfig(
         gamma=0.9,
         alpha=0.75,
@@ -142,10 +159,9 @@ def test_round_trip(tmp_path, strategy):
         sources=((3, 3, 0.1), (4, 5, -0.25)),
         strategy=strategy,
         snapshot_every=8,
+        history_byte_cap=123456789,
     )
-    path = tmp_path / "round.ini"
-    path.write_text(serialize_config(config))
-    rebuilt = build_simulation(load_config_file(str(path)), {})
+    rebuilt = build_simulation(load_config_file(write_ini(tmp_path, text)), {})
     assert rebuilt == config
 
 

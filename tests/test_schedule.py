@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracgrid.coefficients import build_table
+from fracgrid.config import DEFAULT_SHORT_LENGTHS
 from fracgrid.schedule import (
     AdaptiveMemory,
     FullMemory,
@@ -46,6 +47,16 @@ def test_short_schedule_horizon():
     # the horizon is floor(length / dt) steps
     assert len(short_schedule(1499, 10.5, 1.0)) == 11
     assert len(short_schedule(1499, 100.0, 0.5)) == 201
+    # a ratio that lands just below an integer because dt is not exact in
+    # binary (0.3 / 0.1 == 2.9999999999999996) still counts as that integer
+    assert short_schedule(10, 0.3, 0.1).pairs() == full_schedule(3).pairs()
+    assert short_schedule(10, 0.7, 0.1).pairs() == full_schedule(7).pairs()
+    assert short_schedule(10, 0.6, 0.2).pairs() == full_schedule(3).pairs()
+    # exact ratios keep their horizon
+    for dt in (1.0, 0.5):
+        for length in DEFAULT_SHORT_LENGTHS:
+            horizon = int(length / dt)
+            assert len(short_schedule(10**6, length, dt)) == horizon + 1
     # but never more than the available history
     assert short_schedule(7, 100.0, 1.0).pairs() == full_schedule(7).pairs()
 

@@ -393,7 +393,7 @@ def test_run_reports_elapsed_and_config():
     result = run(config)
     assert result.elapsed_seconds >= 0.0
     assert result.config is config
-    assert result.n_steps == 3
+    assert result.config.n_steps == 3
 
 
 def test_progress_logging(caplog):
