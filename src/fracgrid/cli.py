@@ -263,7 +263,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         x_label="x",
         y_label="concentration",
     )
-    out.finish(config_as_dict(config), extra={"elapsed_seconds": result.elapsed_seconds})
+    out.finish(
+        config_as_dict(config),
+        extra={
+            "elapsed_seconds": result.elapsed_seconds,
+            "history_bytes": result.history_bytes,
+        },
+    )
     return EXIT_OK
 
 
@@ -327,6 +333,9 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_gamma(args: argparse.Namespace) -> int:
     config, file_map = _resolve_simulation(args, defaults=SPREAD_SCENARIO)
+    for key in file_map.get("sweep", {}):
+        if key != "gammas":
+            raise ConfigError(f"{args.config}: sweep-gamma does not use key '{key}' in [sweep]")
     spec = _resolve_sweep(args, file_map)
     out = _Artifacts(args.out_dir, "sweep-gamma")
 

@@ -117,10 +117,20 @@ def slice_profile(grid: Grid2D, row: int) -> np.ndarray:
 class HistoryBuffer:
     """Append-only store of stencil fields, one per completed step.
 
-    The buffer is preallocated for a known number of steps so appends never
-    reallocate mid-run, and the projected allocation is checked against a
-    byte cap before any memory is committed.  Entries are exposed read-only:
-    the backward summation must see exactly what each step recorded.
+    ``capacity`` is the number of entries a run may append; the buffer keeps
+    the newest ``window`` of them readable (all of them when ``window`` is
+    None).  When twice the window is fewer slots than ``capacity``, the
+    buffer is a mirrored ring of ``2 * window`` slots: entry i is written at
+    slot ``i % window`` and again at ``i % window + window``, so any ``window``
+    consecutive entries sit in consecutive slots and every read is one basic
+    slice, never a copy.  Short memory of horizon L therefore stores
+    2 (L/dt + 1) fields rather than one per step.  Otherwise ``capacity``
+    slots are allocated and the window is all of them.
+
+    The allocation is checked against a byte cap before any memory is
+    committed, so appends never reallocate mid-run.  Entries are exposed
+    read-only: the backward summation must see exactly what each step
+    recorded.
     """
 
     def __init__(
@@ -128,18 +138,29 @@ class HistoryBuffer:
         capacity: int,
         shape: tuple[int, int],
         byte_cap: int | None = DEFAULT_HISTORY_BYTE_CAP,
+        *,
+        window: int | None = None,
     ) -> None:
         capacity = int(capacity)
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
+        window = capacity if window is None else int(window)
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        if 2 * window < capacity:
+            slots = 2 * window
+        else:
+            slots = window = capacity
         nx, ny = int(shape[0]), int(shape[1])
-        needed = capacity * nx * ny * np.dtype(np.float64).itemsize
+        needed = slots * nx * ny * np.dtype(np.float64).itemsize
         if byte_cap is not None and needed > byte_cap:
             raise MemoryBudgetError(
-                f"history of {capacity} fields of shape {nx}x{ny} needs "
+                f"history of {slots} fields of shape {nx}x{ny} needs "
                 f"{needed} bytes, over the cap of {byte_cap}"
             )
-        self._data = np.empty((capacity, nx, ny), dtype=np.float64)
+        self._data = np.empty((slots, nx, ny), dtype=np.float64)
+        self._capacity = capacity
+        self._window = window
         self._len = 0
 
     def __len__(self) -> int:
@@ -147,7 +168,13 @@ class HistoryBuffer:
 
     @property
     def capacity(self) -> int:
-        return self._data.shape[0]
+        """Number of entries the buffer accepts."""
+        return self._capacity
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes allocated for the stored fields."""
+        return self._data.nbytes
 
     @property
     def field_shape(self) -> tuple[int, int]:
@@ -155,28 +182,37 @@ class HistoryBuffer:
 
     def append(self, field: np.ndarray) -> None:
         """Record the stencil field of the step just completed."""
-        if self._len >= self.capacity:
+        if self._len >= self._capacity:
             raise HistoryCapacityError(
-                f"buffer holds {self.capacity} entries and is full"
+                f"buffer holds {self._capacity} entries and is full"
             )
         field = np.asarray(field, dtype=np.float64)
         if field.shape != self.field_shape:
             raise ValueError(
                 f"field shape {field.shape} does not match buffer shape {self.field_shape}"
             )
-        self._data[self._len] = field
+        window = self._window
+        self._data[self._len % window :: window] = field
         self._len += 1
+
+    def _view(self, lo: int, hi: int, stride: int) -> np.ndarray:
+        if not (0 <= lo <= hi < self._len):
+            raise IndexError(
+                f"entries [{lo}, {hi}] out of range; buffer holds {self._len}"
+            )
+        if lo < self._len - self._window:
+            raise IndexError(
+                f"entry {lo} is overwritten; the buffer keeps the newest "
+                f"{self._window} of {self._len}"
+            )
+        start = lo % self._window
+        view = self._data[start : start + hi - lo + 1 : stride]
+        view.setflags(write=False)
+        return view
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """Read-only contiguous view of entries lo..hi inclusive."""
-        lo, hi = int(lo), int(hi)
-        if not (0 <= lo <= hi < self._len):
-            raise IndexError(
-                f"block [{lo}, {hi}] out of range; buffer holds {self._len}"
-            )
-        view = self._data[lo : hi + 1]
-        view.setflags(write=False)
-        return view
+        return self._view(int(lo), int(hi), 1)
 
     def gather(self, lo: int, hi: int, stride: int) -> np.ndarray:
         """Read-only strided view of entries lo, lo + stride, ..., hi.
@@ -184,12 +220,6 @@ class HistoryBuffer:
         This is a basic slice of the buffer, so no entry is copied.  ``stride``
         must divide ``hi - lo``, so that the run ends exactly at ``hi``.
         """
-        if not (0 <= lo <= hi < self._len):
-            raise IndexError(
-                f"run [{lo}, {hi}] out of range; buffer holds {self._len}"
-            )
         if stride < 1 or (hi - lo) % stride:
             raise ValueError(f"stride {stride} does not divide the run [{lo}, {hi}]")
-        view = self._data[lo : hi + 1 : stride]
-        view.setflags(write=False)
-        return view
+        return self._view(lo, hi, stride)

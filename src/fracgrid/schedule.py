@@ -135,23 +135,25 @@ def full_schedule(k: int) -> MemorySchedule:
     return MemorySchedule(((0, k + 1, 1),))
 
 
-def short_schedule(k: int, length: float, dt: float) -> MemorySchedule:
-    """Offsets 0..min(floor(length / dt), k) with unit weight.
+def short_horizon(length: float, dt: float) -> int:
+    """Steps in a memory horizon of ``length`` simulation time: floor(length / dt).
 
-    ``length`` is the memory horizon in simulation time; dividing by the step
-    size converts it to a step count.
+    A ratio within a relative 1e-9 of an integer is that integer: dt may not
+    be exact in binary (0.3 / 0.1 == 2.9999999999999996).
     """
-    k = _checked_step(k)
     if not length > 0 or not math.isfinite(length):
         raise ValueError(f"memory length must be positive and finite, got {length!r}")
     if not dt > 0 or not math.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    # A ratio just below an integer is that integer: dt may not be exact in
-    # binary (0.3 / 0.1 == 2.9999999999999996).
     ratio = length / dt
     nearest = round(ratio)
-    steps = nearest if math.isclose(ratio, nearest, rel_tol=1e-9) else math.floor(ratio)
-    horizon = min(steps, k)
+    return nearest if math.isclose(ratio, nearest, rel_tol=1e-9) else math.floor(ratio)
+
+
+def short_schedule(k: int, length: float, dt: float) -> MemorySchedule:
+    """Offsets 0..min(:func:`short_horizon`, k) with unit weight."""
+    k = _checked_step(k)
+    horizon = min(short_horizon(length, dt), k)
     return MemorySchedule(((0, horizon + 1, 1),))
 
 
@@ -261,6 +263,10 @@ class FullMemory:
     def schedule_at(self, k: int, dt: float) -> MemorySchedule:
         return full_schedule(k)
 
+    def reach(self, n_steps: int, dt: float) -> int:
+        """Oldest offset a run of ``n_steps`` steps can read."""
+        return n_steps
+
 
 @dataclass(frozen=True)
 class ShortMemory:
@@ -282,6 +288,9 @@ class ShortMemory:
 
     def schedule_at(self, k: int, dt: float) -> MemorySchedule:
         return short_schedule(k, self.length, dt)
+
+    def reach(self, n_steps: int, dt: float) -> int:
+        return min(short_horizon(self.length, dt), n_steps)
 
 
 @dataclass(frozen=True)
@@ -305,6 +314,10 @@ class AdaptiveMemory:
 
     def schedule_at(self, k: int, dt: float) -> MemorySchedule:
         return adaptive_schedule(k, self.base)
+
+    def reach(self, n_steps: int, dt: float) -> int:
+        # The dense tail runs to offset k, so every step is read again.
+        return n_steps
 
 
 MemoryStrategy = Union[FullMemory, ShortMemory, AdaptiveMemory]

@@ -177,12 +177,13 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Snapshots, final state and stepping-loop wall time of one run."""
+    """Snapshots, final state, stepping-loop wall time and history bytes of one run."""
 
     config: SimulationConfig
     snapshots: tuple[tuple[int, Grid2D], ...]
     final: Grid2D
     elapsed_seconds: float
+    history_bytes: int
 
 
 def entry_coefficients(schedule: MemorySchedule, table: PsiTable) -> list[np.ndarray]:
@@ -322,11 +323,13 @@ def run(config: SimulationConfig, *, progress_every: int = 0) -> SimulationResul
     initial peak raises :class:`DivergenceError`.
     """
     # The history is the run's one large allocation; claim it first so the
-    # memory cap is checked before any other work is done.
+    # memory cap is checked before any other work is done.  It keeps only
+    # the fields the strategy can still reach.
     history = HistoryBuffer(
         config.n_steps + 1,
         (config.nx, config.ny),
         byte_cap=config.history_byte_cap,
+        window=config.strategy.reach(config.n_steps, config.dt) + 1,
     )
     table = build_table(config.gamma, config.n_steps)
     u = config.initial_grid().data.copy()
@@ -353,4 +356,5 @@ def run(config: SimulationConfig, *, progress_every: int = 0) -> SimulationResul
         snapshots=tuple(snapshots),
         final=snapshots[-1][1],
         elapsed_seconds=elapsed,
+        history_bytes=history.nbytes,
     )

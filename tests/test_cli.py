@@ -112,6 +112,15 @@ def test_out_dir_is_a_file(tmp_path, capsys):
     assert run_simulate(blocked) == EXIT_IO
 
 
+@pytest.mark.parametrize("memory,fields", [("short:5", 2 * 6), ("full", 40 + 1)])
+def test_manifest_records_history_bytes(tmp_path, memory, fields):
+    # short:5 keeps a mirrored ring of 2 (5 + 1) fields; full keeps every step.
+    out = tmp_path / "x"
+    assert run_simulate(out, ["--memory", memory, "--steps", "40"]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["history_bytes"] == fields * 12 * 12 * 8
+
+
 def test_memory_cap_too_small(tmp_path, capsys):
     rc = run_simulate(tmp_path / "x", ["--memory-cap", "64"])
     assert rc == EXIT_CONFIG
@@ -305,6 +314,25 @@ def test_sweep_gamma_artifacts(tmp_path):
     assert first == "0,0.1"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["sweep"]["gammas"] == [0.75, 1.0]
+
+
+@pytest.mark.parametrize(
+    "key,value", [("short_lengths", "7"), ("adaptive_bases", "3"), ("repeats", "3")]
+)
+def test_sweep_gamma_rejects_sweep_keys_it_does_not_use(tmp_path, capsys, key, value):
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(f"[sweep]\ngammas = 0.75, 1\n{key} = {value}\n")
+    out = tmp_path / "sweep"
+    rc = main(
+        [
+            "sweep-gamma", "--config", str(ini), "--out-dir", str(out),
+            "--dt", "0.5", "--dx", "5", "--grid", "12x12", "--steps", "20",
+            "--source", "6,6=0.1",
+        ]
+    )
+    assert rc == EXIT_CONFIG
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_initial_grid_reproduces_source_run(tmp_path):

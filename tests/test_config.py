@@ -1,5 +1,7 @@
 """Unit tests for config files and flag merging."""
 
+from pathlib import Path
+
 import pytest
 
 from fracgrid.config import (
@@ -219,3 +221,15 @@ def test_snapshot_and_cap_passthrough(tmp_path):
     )
     assert config.snapshot_every == 25
     assert config.history_byte_cap == 10**8
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "example.ini"
+    path.write_text(example)
+    file_map = load_config_file(str(path))
+    config = build_simulation(file_map, {})
+    assert config.alpha == 1.0 and config.beta == 0.0
+    assert config.history_byte_cap == 4294967296
+    assert build_sweep(file_map, {}).repeats == 1

@@ -198,6 +198,70 @@ class TestHistoryBuffer:
         buf = HistoryBuffer(2, (100, 100), byte_cap=None)
         assert buf.capacity == 2
 
+    def test_ring_keeps_the_last_window_in_order(self):
+        window = 4
+        buf = HistoryBuffer(30, (3, 3), window=window)
+        for value in range(2 * window + 3):
+            buf.append(np.full((3, 3), float(value)))
+        newest = len(buf) - 1
+        lo = newest - window + 1
+        block = buf.block(lo, newest)
+        assert block[:, 0, 0].tolist() == [7.0, 8.0, 9.0, 10.0]
+        run = buf.gather(lo, newest, 3)
+        assert run[:, 0, 0].tolist() == [7.0, 10.0]
+        assert buf.gather(newest, newest, 1)[:, 0, 0].tolist() == [10.0]
+        # views of one buffer, not copies, and read-only
+        assert np.shares_memory(block, run)
+        assert not block.flags.writeable and not run.flags.writeable
+        # every window position, across the wrap, reads in order
+        for value in range(2 * window + 3, 3 * window + 5):
+            buf.append(np.full((3, 3), float(value)))
+            newest = len(buf) - 1
+            assert buf.block(newest - window + 1, newest)[:, 1, 2].tolist() == [
+                float(v) for v in range(newest - window + 1, newest + 1)
+            ]
+
+    def test_ring_rejects_overwritten_entries(self):
+        buf = HistoryBuffer(30, (3, 3), window=4)
+        for value in range(10):
+            buf.append(np.full((3, 3), float(value)))
+        # entries 0..5 are overwritten; 6..9 are the window
+        with pytest.raises(IndexError, match="overwritten"):
+            buf.block(5, 9)
+        with pytest.raises(IndexError, match="overwritten"):
+            buf.gather(5, 9, 2)
+        with pytest.raises(IndexError, match="overwritten"):
+            buf.block(0, 0)
+        assert buf.block(6, 9)[:, 0, 0].tolist() == [6.0, 7.0, 8.0, 9.0]
+
+    @pytest.mark.parametrize("window,slots", [(4, 8), (5, 10), (6, 11), (11, 11), (40, 11)])
+    def test_allocation_follows_the_window(self, window, slots):
+        # a ring only while 2 * window is fewer slots than the capacity
+        field_bytes = 5 * 7 * 8
+        buf = HistoryBuffer(11, (5, 7), window=window)
+        assert buf.capacity == 11
+        assert buf.nbytes == slots * field_bytes
+        for value in range(11):
+            buf.append(np.full((5, 7), float(value)))
+        with pytest.raises(HistoryCapacityError):
+            buf.append(np.zeros((5, 7)))
+        if slots == 11:
+            assert buf.block(0, 10)[:, 2, 3].tolist() == [float(v) for v in range(11)]
+        else:
+            assert buf.block(11 - window, 10)[:, 2, 3].tolist() == [
+                float(v) for v in range(11 - window, 11)
+            ]
+
+    def test_byte_cap_counts_the_allocated_slots(self):
+        field_bytes = 10 * 10 * 8
+        HistoryBuffer(1000, (10, 10), byte_cap=8 * field_bytes, window=4)
+        with pytest.raises(MemoryBudgetError, match="cap"):
+            HistoryBuffer(1000, (10, 10), byte_cap=8 * field_bytes - 1, window=4)
+        with pytest.raises(MemoryBudgetError, match="cap"):
+            HistoryBuffer(1000, (10, 10), byte_cap=8 * field_bytes)
+        with pytest.raises(ValueError, match="window"):
+            HistoryBuffer(10, (10, 10), window=0)
+
     def test_entry_bounds(self):
         buf = HistoryBuffer(2, (3, 3))
         buf.append(np.zeros((3, 3)))

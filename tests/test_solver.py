@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -22,6 +23,7 @@ from fracgrid.schedule import (
     ShortMemory,
     adaptive_schedule,
     full_schedule,
+    parse_memory_spec,
 )
 from fracgrid.solver import (
     GROWTH_LIMIT,
@@ -417,3 +419,69 @@ def test_strategy_affects_only_history_weights():
     for strategy in (ShortMemory(3.0), AdaptiveMemory(2)):
         candidate = run(replace(base, strategy=strategy)).final.data
         assert np.abs(candidate - reference).max() < 1e-10
+
+
+def _final_over_linear_history(config):
+    """The stepping loop of run() over a history that keeps every step."""
+    table = build_table(config.gamma, config.n_steps)
+    u = config.initial_grid().data.copy()
+    history = HistoryBuffer(config.n_steps + 1, u.shape)
+    history.append(stencil(u))
+    bound = GROWTH_LIMIT * float(np.abs(u).max())
+    for k in range(config.n_steps):
+        u = step(u, history, k, config, table, bound)
+    return u
+
+
+@pytest.mark.parametrize("length", [1.0, 7.0, 40.0])
+def test_short_memory_ring_matches_linear_history_bitwise(length):
+    config = make_config(
+        gamma=0.6, nx=9, ny=11, n_steps=300, strategy=ShortMemory(length),
+        sources=((4, 5, 10.0), (2, 8, 3.0)),
+    )
+    result = run(config)
+    # the ring holds 2 (L + 1) fields, not one per step
+    assert result.history_bytes == 2 * (int(length) + 1) * 9 * 11 * 8
+    assert result.final.data.tobytes() == _final_over_linear_history(config).tobytes()
+
+
+@pytest.mark.parametrize(
+    "memory,dt",
+    [("full", 1.0)]
+    + [(f"short:{length}", dt) for length, dt in (
+        ("1", 1.0), ("7", 1.0), ("40", 1.0), ("0.3", 0.1),
+        ("0.7", 0.1), ("0.6", 0.2), ("2.5", 0.5), ("10.5", 1.0),
+    )]
+    + [(f"adaptive:{base}", 1.0) for base in (2, 3, 5, 12)],
+)
+def test_reach_bounds_every_schedule_of_the_run(memory, dt):
+    strategy = parse_memory_spec(memory)
+    for n_steps in (1, 6, 60, 300):
+        reach = strategy.reach(n_steps, dt)
+        last = max(int(strategy.schedule_at(k, dt).offsets[-1]) for k in range(n_steps))
+        assert last <= reach <= n_steps
+        if isinstance(strategy, ShortMemory) and reach < n_steps:
+            # short memory's window is no larger than what it reads
+            assert last == reach
+
+
+def test_memory_cap_counts_the_short_memory_ring():
+    # 1001 fields of 8x8 are 512512 bytes, over the cap; short:5 keeps 12.
+    capped = make_config(n_steps=1000, history_byte_cap=100_000)
+    result = run(replace(capped, strategy=ShortMemory(5.0)))
+    assert result.history_bytes == 12 * 8 * 8 * 8
+    with pytest.raises(MemoryBudgetError):
+        run(capped)
+
+
+def test_short_memory_peak_memory_follows_its_horizon():
+    # 601 history fields of 60x60 would be 17.3 MB; short:10 keeps 22
+    # (0.6 MB), and the ~100 snapshots take about 2.9 MB more.
+    config = make_config(nx=60, ny=60, n_steps=600, strategy=ShortMemory(10.0))
+    tracemalloc.start()
+    try:
+        run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
