@@ -239,7 +239,9 @@ def _progress_every(n_steps: int, verbose: bool) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config, _ = _resolve_simulation(args)
+    config, file_map = _resolve_simulation(args)
+    if "sweep" in file_map:
+        raise ConfigError(f"{args.config}: simulate does not use the [sweep] section")
     out = _Artifacts(args.out_dir, "simulate")
     result = run(config, progress_every=_progress_every(config.n_steps, args.verbose))
 

@@ -91,18 +91,28 @@ def stencil(data: np.ndarray) -> np.ndarray:
     No division by dx**2 happens here; the solver folds the grid spacing into
     its per-step coefficient.  The output boundary ring is zero, matching the
     pinned edges of the field itself.
+
+    The sum runs over the flattened field: every interior cell lies in the
+    flat range from the first interior cell to the last, where its four
+    neighbours sit at flat offsets +-ny and +-1, so each term is one
+    contiguous slice, summed in place into the output in the order written
+    above.  The range also crosses the ring cells at both ends of each
+    interior row; the whole ring is set to zero afterwards.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = np.ascontiguousarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 3 or data.shape[1] < 3:
         raise ValueError(f"stencil needs a 2D grid of at least 3x3, got shape {data.shape}")
-    out = np.zeros_like(data)
-    out[1:-1, 1:-1] = (
-        data[2:, 1:-1]
-        + data[:-2, 1:-1]
-        - 4.0 * data[1:-1, 1:-1]
-        + data[1:-1, 2:]
-        + data[1:-1, :-2]
-    )
+    nx, ny = data.shape
+    flat = data.reshape(-1)
+    out = np.empty_like(data)
+    lo, hi = ny + 1, flat.size - ny - 1
+    inner = out.reshape(-1)[lo:hi]
+    np.add(flat[lo + ny : hi + ny], flat[lo - ny : hi - ny], out=inner)
+    inner -= 4.0 * flat[lo:hi]
+    inner += flat[lo + 1 : hi + 1]
+    inner += flat[lo - 1 : hi - 1]
+    out[:: nx - 1] = 0.0
+    out[:, :: ny - 1] = 0.0
     return out
 
 

@@ -13,6 +13,14 @@ in that order, so no step reverses or copies them.  A schedule that visits
 the contiguous offsets 0..M (full and short memory, and any truncated
 schedule that happens to visit every offset) is one run and one contraction,
 so it reproduces the full-memory result bit for bit.
+
+Besides the contraction a step costs a fixed few passes over one field,
+whatever the strategy: the update scales the contraction's fresh result in
+place and adds ``u * (1 - beta * dt)`` to it, the boundary ring is zeroed,
+the peak |u| is one max and one min, the stencil fills one new field from
+contiguous slices, and the history copies that field into its slot (twice
+in a mirrored ring).  A run's coefficients are built only in the step where
+the run or its span changes; every other step reuses them.
 """
 
 from __future__ import annotations
@@ -186,45 +194,66 @@ class SimulationResult:
     history_bytes: int
 
 
-def entry_coefficients(schedule: MemorySchedule, table: PsiTable) -> list[np.ndarray]:
+def entry_coefficients(
+    schedule: MemorySchedule,
+    table: PsiTable,
+    memo: dict | None = None,
+) -> list[np.ndarray]:
     """Per-run coefficients: the psi mass of the offsets each entry stands for.
 
-    Returns one C-contiguous array per run in storage order, oldest entry
-    (the run's largest offset) first, which is the order the history keeps
-    its fields in, so each run contracts with its history view as is.  Each
-    entry gets the sum of psi(x) over its cell (see :class:`MemorySchedule`),
-    read off the table's prefix sums with one strided slice per run: inside a
-    run the cells start ``stride`` offsets apart, and the run's span supplies
-    its outer bounds.  An entry whose cell is just its own offset m gets
-    psi(m) itself, bit for bit, so full and short memory and any schedule
-    that visits every offset weigh history exactly alike; a dense run of
-    unit cells is a view of the table's ``reversed_values``, never a copy.
+    Returns one read-only C-contiguous array per run in storage order, oldest
+    entry (the run's largest offset) first, which is the order the history
+    keeps its fields in, so each run contracts with its history view as is.
+    Each entry gets the sum of psi(x) over its cell (see
+    :class:`MemorySchedule`), read off the table's prefix sums with one
+    strided slice per run: inside a run the cells start ``stride`` offsets
+    apart, and the run's span supplies its outer bounds.  An entry whose cell
+    is just its own offset m gets psi(m) itself, bit for bit, so full and
+    short memory and any schedule that visits every offset weigh history
+    exactly alike; a dense run of unit cells is a view of the table's
+    ``reversed_values``, never a copy.
+
+    A run's coefficients depend only on the run, its span and the table.
+    Given a ``memo`` (one per table), a run whose ``(run, span)`` is in it is
+    not computed again, and the memo is left holding exactly this schedule's
+    computed runs: a stepping loop reuses every run the previous step shared
+    with this one, and the memo never grows past one schedule.
     """
     values, prefix, rev = table.values, table.prefix, table.reversed_values
     cap = table.capacity
+    kept = {} if memo is None else memo
+    fresh = {}
     out = []
-    for (m, count, stride), (lo, hi) in zip(schedule.runs, schedule.spans):
+    for key in zip(schedule.runs, schedule.spans):
+        (m, count, stride), (lo, hi) = key
         last = m + (count - 1) * stride
         if stride == 1 and lo == m and hi == last + 1:
             out.append(rev[cap - last : cap - m + 1])
             continue
-        # Cell bounds, oldest first: hi, the start of every cell but the
-        # newest, then lo.
-        half = (stride - 1) // 2
-        mass = np.empty(count + 1)
-        mass[0] = prefix[hi]
-        mass[1:-1] = prefix[m + stride - half : m + count * stride - half : stride][::-1]
-        mass[-1] = prefix[lo]
-        coeffs = mass[:-1] - mass[1:]
-        if stride == 1:
-            coeffs[1:-1] = rev[cap - last + 1 : cap - m]
-        first_end = hi if count == 1 else m + stride - half
-        last_start = lo if count == 1 else last - half
-        if first_end - lo == 1:
-            coeffs[-1] = values[m]
-        if hi - last_start == 1:
-            coeffs[0] = values[last]
+        coeffs = kept.get(key)
+        if coeffs is None:
+            # Cell bounds, oldest first: hi, the start of every cell but the
+            # newest, then lo.
+            half = (stride - 1) // 2
+            mass = np.empty(count + 1)
+            mass[0] = prefix[hi]
+            mass[1:-1] = prefix[m + stride - half : m + count * stride - half : stride][::-1]
+            mass[-1] = prefix[lo]
+            coeffs = mass[:-1] - mass[1:]
+            if stride == 1:
+                coeffs[1:-1] = rev[cap - last + 1 : cap - m]
+            first_end = hi if count == 1 else m + stride - half
+            last_start = lo if count == 1 else last - half
+            if first_end - lo == 1:
+                coeffs[-1] = values[m]
+            if hi - last_start == 1:
+                coeffs[0] = values[last]
+            coeffs.setflags(write=False)
+        fresh[key] = coeffs
         out.append(coeffs)
+    if memo is not None:
+        memo.clear()
+        memo.update(fresh)
     return out
 
 
@@ -233,14 +262,16 @@ def history_sum(
     schedule: MemorySchedule,
     table: PsiTable,
     k: int,
+    *,
+    memo: dict | None = None,
 ) -> np.ndarray:
     """Weighted backward sum  S_k = sum over entries (m, cell) of  c * delta[k - m].
 
     The coefficient c of the entry at offset m is the sum of psi over the
-    offsets its cell stands for (:func:`entry_coefficients`): psi(m) for a
-    unit cell, and for a thinned entry the psi mass of the run of
-    neighbouring steps it replaces, so a schedule whose cells tile 0..k
-    carries the full-memory weight mass.
+    offsets its cell stands for (:func:`entry_coefficients`, which reuses
+    ``memo`` across steps): psi(m) for a unit cell, and for a thinned entry
+    the psi mass of the run of neighbouring steps it replaces, so a schedule
+    whose cells tile 0..k carries the full-memory weight mass.
 
     ``history`` holds one stencil field per completed step, oldest first, so
     offset m maps to buffer entry k - m.  Each run of the schedule is one
@@ -248,7 +279,8 @@ def history_sum(
     view of the buffer, read in place as a (count, nx*ny) matrix whose rows
     are contiguous, and the partial sums are added.  A schedule that is the
     contiguous block 0..M is a single run read as one block, keeping results
-    independent of strategy wherever the visited offsets coincide.
+    independent of strategy wherever the visited offsets coincide.  The sum
+    is a new array, which the caller may overwrite.
     """
     k = int(k)
     if k < 0 or len(history) <= k:
@@ -265,7 +297,7 @@ def history_sum(
     runs = schedule.runs
     block = len(runs) == 1 and runs[0][0] == 0 and runs[0][2] == 1
     total = None
-    for (m, count, stride), coeffs in zip(runs, entry_coefficients(schedule, table)):
+    for (m, count, stride), coeffs in zip(runs, entry_coefficients(schedule, table, memo)):
         last = m + (count - 1) * stride
         if block:
             view = history.block(k - last, k)
@@ -286,23 +318,28 @@ def step(
     config: SimulationConfig,
     table: PsiTable,
     bound: float,
+    *,
+    memo: dict | None = None,
 ) -> np.ndarray:
     """Advance the field from step k to k+1 and record the new stencil field.
 
-    Requires ``history`` to hold entries for steps 0..k already.  Returns the
-    new field; raises :class:`DivergenceError` if its peak |u| is above
-    ``bound`` or not finite (the bad field is not recorded).
+    Requires ``history`` to hold entries for steps 0..k already; ``memo``
+    carries run coefficients from one step to the next (see
+    :func:`entry_coefficients`).  Returns the new field, computed in place in
+    the history sum's result; raises :class:`DivergenceError` if its peak |u|
+    is above ``bound`` or not finite (the bad field is not recorded).
     """
     schedule = config.strategy.schedule_at(k, config.dt)
-    acc = history_sum(history, schedule, table, k)
+    nxt = history_sum(history, schedule, table, k, memo=memo)
     decay = 1.0 - config.beta * config.dt
     diffuse = config.alpha * config.dt**config.gamma / config.dx**2
-    nxt = u * decay + diffuse * acc
-    nxt[0, :] = 0.0
-    nxt[-1, :] = 0.0
-    nxt[:, 0] = 0.0
-    nxt[:, -1] = 0.0
-    peak = float(np.abs(nxt).max())
+    # u * decay + diffuse * S_k, bit for bit: IEEE + and * commute.
+    nxt *= diffuse
+    nxt += u * decay
+    nxt[:: nxt.shape[0] - 1] = 0.0
+    nxt[:, :: nxt.shape[1] - 1] = 0.0
+    # max |u| without an |u| array; a nan in nxt makes both reductions nan.
+    peak = max(float(nxt.max()), -float(nxt.min()))
     # Also true for inf and nan.
     if not peak <= bound:
         if not math.isfinite(peak):
@@ -335,6 +372,7 @@ def run(config: SimulationConfig, *, progress_every: int = 0) -> SimulationResul
     u = config.initial_grid().data.copy()
     history.append(stencil(u))
     bound = GROWTH_LIMIT * float(np.abs(u).max())
+    memo: dict = {}
     snapshots: list[tuple[int, Grid2D]] = [(0, Grid2D(u.copy(), config.dx))]
     cadence = config.snapshot_cadence
 
@@ -343,7 +381,7 @@ def run(config: SimulationConfig, *, progress_every: int = 0) -> SimulationResul
     # step() reports it as a DivergenceError, not as a NumPy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.n_steps):
-            u = step(u, history, k, config, table, bound)
+            u = step(u, history, k, config, table, bound, memo=memo)
             done = k + 1
             if done % cadence == 0 or done == config.n_steps:
                 snapshots.append((done, Grid2D(u.copy(), config.dx)))

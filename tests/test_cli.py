@@ -316,6 +316,19 @@ def test_sweep_gamma_artifacts(tmp_path):
     assert manifest["sweep"]["gammas"] == [0.75, 1.0]
 
 
+def test_simulate_rejects_a_sweep_section(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[simulation]\ngamma = 0.8\ndt = 1\ndx = 10\ngrid = 8x8\nsteps = 5\n\n"
+        "[sources]\n4,4 = 1.0\n\n[sweep]\nshort_lengths = 10, 25\nrepeats = 3\n"
+    )
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--config", str(ini), "--out-dir", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "[sweep]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key,value", [("short_lengths", "7"), ("adaptive_bases", "3"), ("repeats", "3")]
 )

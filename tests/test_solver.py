@@ -485,3 +485,95 @@ def test_short_memory_peak_memory_follows_its_horizon():
     finally:
         tracemalloc.stop()
     assert peak < 6_000_000
+
+
+def _final_with_parent_expressions(config):
+    """run()'s stepping loop, with the update and the stencil written out
+    as plain expressions over fresh arrays."""
+    table = build_table(config.gamma, config.n_steps)
+    u = config.initial_grid().data.copy()
+    history = HistoryBuffer(
+        config.n_steps + 1, u.shape,
+        window=config.strategy.reach(config.n_steps, config.dt) + 1,
+    )
+
+    def slice_stencil(data):
+        out = np.zeros_like(data)
+        out[1:-1, 1:-1] = (
+            data[2:, 1:-1] + data[:-2, 1:-1] - 4.0 * data[1:-1, 1:-1]
+            + data[1:-1, 2:] + data[1:-1, :-2]
+        )
+        return out
+
+    history.append(slice_stencil(u))
+    bound = GROWTH_LIMIT * float(np.abs(u).max())
+    decay = 1.0 - config.beta * config.dt
+    diffuse = config.alpha * config.dt**config.gamma / config.dx**2
+    for k in range(config.n_steps):
+        schedule = config.strategy.schedule_at(k, config.dt)
+        acc = history_sum(history, schedule, table, k)
+        nxt = u * decay + diffuse * acc
+        nxt[0, :] = 0.0
+        nxt[-1, :] = 0.0
+        nxt[:, 0] = 0.0
+        nxt[:, -1] = 0.0
+        assert float(np.abs(nxt).max()) <= bound
+        history.append(slice_stencil(nxt))
+        u = nxt
+    return u
+
+
+@pytest.mark.parametrize("memory", ["full", "short:7", "adaptive:3"])
+def test_run_matches_plain_expression_loop_bitwise(memory):
+    # beta > 0 so the decay factor is not 1; short:7 keeps a mirrored ring.
+    config = make_config(
+        gamma=0.6, alpha=15.0, beta=0.01, nx=9, ny=13, n_steps=300,
+        strategy=parse_memory_spec(memory), snapshot_every=300,
+        sources=((4, 6, 10.0), (2, 9, 3.0), (7, 2, 1.5)),
+    )
+    assert 1.0 - config.beta * config.dt != 1.0
+    expected = _final_with_parent_expressions(config)
+    assert run(config).final.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("memory", ["short:5", "adaptive:3", "full"])
+def test_step_holds_few_fields_beyond_history(memory):
+    # The deterministic side of the stepping loop's speed: a step allocates
+    # its sum (updated in place), the product u * decay, and the stencil's
+    # output plus its -4u term, so run() peaks at under four fields besides
+    # history and snapshots (six at the two-dimensional slice stencil).
+    config = make_config(
+        nx=100, ny=100, n_steps=60, strategy=parse_memory_spec(memory),
+        snapshot_every=10**6, sources=((50, 50, 10.0),),
+    )
+    run(config)
+    tracemalloc.start()
+    try:
+        result = run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    snapshots = sum(grid.data.nbytes for _, grid in result.snapshots)
+    fields = (peak - result.history_bytes - snapshots) / (100 * 100 * 8)
+    assert fields < 4
+
+
+@pytest.mark.parametrize("base", [3, 5, 12])
+def test_coefficient_memo_reuses_unchanged_runs_bitwise(base):
+    table = build_table(0.7, 1500)
+    strategy = AdaptiveMemory(base)
+    memo: dict = {}
+    previous: dict = {}
+    reused = 0
+    for k in range(1500):
+        schedule = strategy.schedule_at(k, 1.0)
+        kept = entry_coefficients(schedule, table, memo)
+        fresh = entry_coefficients(schedule, table)
+        assert len(kept) == len(fresh) == len(schedule.runs)
+        for key, a, b in zip(zip(schedule.runs, schedule.spans), kept, fresh):
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable and not b.flags.writeable
+            reused += previous.get(key) is a
+        assert len(memo) <= len(schedule.runs)
+        previous = dict(zip(zip(schedule.runs, schedule.spans), kept))
+    assert reused > 1500
