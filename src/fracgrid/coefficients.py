@@ -34,13 +34,17 @@ class PsiTable:
     a dense run of offsets m..last are the contiguous slice
     ``reversed_values[capacity - last : capacity - m + 1]``.  All three arrays
     are read-only; a solver run builds the table once up front and shares it
-    across all steps.
+    across all steps.  ``memo`` holds the coefficients of the thinned runs of
+    the last schedule :func:`fracgrid.solver.entry_coefficients` weighed with
+    this table, keyed by ``(run, span)``, so consecutive steps share the runs
+    they have in common; it never holds more than one schedule's runs.
     """
 
     gamma: float
     values: np.ndarray
     prefix: np.ndarray = field(init=False, repr=False, compare=False)
     reversed_values: np.ndarray = field(init=False, repr=False, compare=False)
+    memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.values.ndim != 1 or self.values.size < 1:
@@ -53,6 +57,7 @@ class PsiTable:
         reversed_values = self.values[::-1].copy()
         reversed_values.setflags(write=False)
         object.__setattr__(self, "reversed_values", reversed_values)
+        object.__setattr__(self, "memo", {})
 
     @property
     def capacity(self) -> int:

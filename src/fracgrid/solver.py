@@ -194,11 +194,7 @@ class SimulationResult:
     history_bytes: int
 
 
-def entry_coefficients(
-    schedule: MemorySchedule,
-    table: PsiTable,
-    memo: dict | None = None,
-) -> list[np.ndarray]:
+def entry_coefficients(schedule: MemorySchedule, table: PsiTable) -> list[np.ndarray]:
     """Per-run coefficients: the psi mass of the offsets each entry stands for.
 
     Returns one read-only C-contiguous array per run in storage order, oldest
@@ -213,15 +209,15 @@ def entry_coefficients(
     exactly alike; a dense run of unit cells is a view of the table's
     ``reversed_values``, never a copy.
 
-    A run's coefficients depend only on the run, its span and the table.
-    Given a ``memo`` (one per table), a run whose ``(run, span)`` is in it is
-    not computed again, and the memo is left holding exactly this schedule's
-    computed runs: a stepping loop reuses every run the previous step shared
-    with this one, and the memo never grows past one schedule.
+    A run's coefficients depend only on the run, its span and the table.  A
+    run whose ``(run, span)`` is in the table's ``memo`` is not computed
+    again, and the memo is left holding exactly this schedule's computed
+    runs: a stepping loop reuses every run the previous step shared with
+    this one, and the memo never grows past one schedule.
     """
     values, prefix, rev = table.values, table.prefix, table.reversed_values
     cap = table.capacity
-    kept = {} if memo is None else memo
+    memo = table.memo
     fresh = {}
     out = []
     for key in zip(schedule.runs, schedule.spans):
@@ -230,7 +226,7 @@ def entry_coefficients(
         if stride == 1 and lo == m and hi == last + 1:
             out.append(rev[cap - last : cap - m + 1])
             continue
-        coeffs = kept.get(key)
+        coeffs = memo.get(key)
         if coeffs is None:
             # Cell bounds, oldest first: hi, the start of every cell but the
             # newest, then lo.
@@ -251,9 +247,8 @@ def entry_coefficients(
             coeffs.setflags(write=False)
         fresh[key] = coeffs
         out.append(coeffs)
-    if memo is not None:
-        memo.clear()
-        memo.update(fresh)
+    memo.clear()
+    memo.update(fresh)
     return out
 
 
@@ -262,16 +257,14 @@ def history_sum(
     schedule: MemorySchedule,
     table: PsiTable,
     k: int,
-    *,
-    memo: dict | None = None,
 ) -> np.ndarray:
     """Weighted backward sum  S_k = sum over entries (m, cell) of  c * delta[k - m].
 
     The coefficient c of the entry at offset m is the sum of psi over the
-    offsets its cell stands for (:func:`entry_coefficients`, which reuses
-    ``memo`` across steps): psi(m) for a unit cell, and for a thinned entry
-    the psi mass of the run of neighbouring steps it replaces, so a schedule
-    whose cells tile 0..k carries the full-memory weight mass.
+    offsets its cell stands for (:func:`entry_coefficients`): psi(m) for a
+    unit cell, and for a thinned entry the psi mass of the run of
+    neighbouring steps it replaces, so a schedule whose cells tile 0..k
+    carries the full-memory weight mass.
 
     ``history`` holds one stencil field per completed step, oldest first, so
     offset m maps to buffer entry k - m.  Each run of the schedule is one
@@ -297,7 +290,7 @@ def history_sum(
     runs = schedule.runs
     block = len(runs) == 1 and runs[0][0] == 0 and runs[0][2] == 1
     total = None
-    for (m, count, stride), coeffs in zip(runs, entry_coefficients(schedule, table, memo)):
+    for (m, count, stride), coeffs in zip(runs, entry_coefficients(schedule, table)):
         last = m + (count - 1) * stride
         if block:
             view = history.block(k - last, k)
@@ -318,19 +311,15 @@ def step(
     config: SimulationConfig,
     table: PsiTable,
     bound: float,
-    *,
-    memo: dict | None = None,
 ) -> np.ndarray:
     """Advance the field from step k to k+1 and record the new stencil field.
 
-    Requires ``history`` to hold entries for steps 0..k already; ``memo``
-    carries run coefficients from one step to the next (see
-    :func:`entry_coefficients`).  Returns the new field, computed in place in
-    the history sum's result; raises :class:`DivergenceError` if its peak |u|
+    Requires ``history`` to hold entries for steps 0..k already.  Returns the
+    new field, computed in place in the history sum's result; raises :class:`DivergenceError` if its peak |u|
     is above ``bound`` or not finite (the bad field is not recorded).
     """
     schedule = config.strategy.schedule_at(k, config.dt)
-    nxt = history_sum(history, schedule, table, k, memo=memo)
+    nxt = history_sum(history, schedule, table, k)
     decay = 1.0 - config.beta * config.dt
     diffuse = config.alpha * config.dt**config.gamma / config.dx**2
     # u * decay + diffuse * S_k, bit for bit: IEEE + and * commute.
@@ -372,7 +361,6 @@ def run(config: SimulationConfig, *, progress_every: int = 0) -> SimulationResul
     u = config.initial_grid().data.copy()
     history.append(stencil(u))
     bound = GROWTH_LIMIT * float(np.abs(u).max())
-    memo: dict = {}
     snapshots: list[tuple[int, Grid2D]] = [(0, Grid2D(u.copy(), config.dx))]
     cadence = config.snapshot_cadence
 
@@ -381,7 +369,7 @@ def run(config: SimulationConfig, *, progress_every: int = 0) -> SimulationResul
     # step() reports it as a DivergenceError, not as a NumPy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.n_steps):
-            u = step(u, history, k, config, table, bound, memo=memo)
+            u = step(u, history, k, config, table, bound)
             done = k + 1
             if done % cadence == 0 or done == config.n_steps:
                 snapshots.append((done, Grid2D(u.copy(), config.dx)))

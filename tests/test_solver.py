@@ -487,7 +487,7 @@ def test_short_memory_peak_memory_follows_its_horizon():
     assert peak < 6_000_000
 
 
-def _final_with_parent_expressions(config):
+def _final_with_parent_expressions(config, slice_stencil):
     """run()'s stepping loop, with the update and the stencil written out
     as plain expressions over fresh arrays."""
     table = build_table(config.gamma, config.n_steps)
@@ -496,14 +496,6 @@ def _final_with_parent_expressions(config):
         config.n_steps + 1, u.shape,
         window=config.strategy.reach(config.n_steps, config.dt) + 1,
     )
-
-    def slice_stencil(data):
-        out = np.zeros_like(data)
-        out[1:-1, 1:-1] = (
-            data[2:, 1:-1] + data[:-2, 1:-1] - 4.0 * data[1:-1, 1:-1]
-            + data[1:-1, 2:] + data[1:-1, :-2]
-        )
-        return out
 
     history.append(slice_stencil(u))
     bound = GROWTH_LIMIT * float(np.abs(u).max())
@@ -524,7 +516,7 @@ def _final_with_parent_expressions(config):
 
 
 @pytest.mark.parametrize("memory", ["full", "short:7", "adaptive:3"])
-def test_run_matches_plain_expression_loop_bitwise(memory):
+def test_run_matches_plain_expression_loop_bitwise(memory, slice_stencil):
     # beta > 0 so the decay factor is not 1; short:7 keeps a mirrored ring.
     config = make_config(
         gamma=0.6, alpha=15.0, beta=0.01, nx=9, ny=13, n_steps=300,
@@ -532,7 +524,7 @@ def test_run_matches_plain_expression_loop_bitwise(memory):
         sources=((4, 6, 10.0), (2, 9, 3.0), (7, 2, 1.5)),
     )
     assert 1.0 - config.beta * config.dt != 1.0
-    expected = _final_with_parent_expressions(config)
+    expected = _final_with_parent_expressions(config, slice_stencil)
     assert run(config).final.data.tobytes() == expected.tobytes()
 
 
@@ -560,20 +552,23 @@ def test_step_holds_few_fields_beyond_history(memory):
 
 @pytest.mark.parametrize("base", [3, 5, 12])
 def test_coefficient_memo_reuses_unchanged_runs_bitwise(base):
+    # One table carries its memo from step to step; the other starts each
+    # step with an empty memo, so it computes every run afresh.
     table = build_table(0.7, 1500)
+    other = build_table(0.7, 1500)
     strategy = AdaptiveMemory(base)
-    memo: dict = {}
     previous: dict = {}
     reused = 0
     for k in range(1500):
         schedule = strategy.schedule_at(k, 1.0)
-        kept = entry_coefficients(schedule, table, memo)
-        fresh = entry_coefficients(schedule, table)
+        kept = entry_coefficients(schedule, table)
+        other.memo.clear()
+        fresh = entry_coefficients(schedule, other)
         assert len(kept) == len(fresh) == len(schedule.runs)
         for key, a, b in zip(zip(schedule.runs, schedule.spans), kept, fresh):
             assert a.tobytes() == b.tobytes()
             assert not a.flags.writeable and not b.flags.writeable
             reused += previous.get(key) is a
-        assert len(memo) <= len(schedule.runs)
+        assert len(table.memo) <= len(schedule.runs)
         previous = dict(zip(zip(schedule.runs, schedule.spans), kept))
     assert reused > 1500
