@@ -83,18 +83,24 @@ EXIT_DIVERGED = 3
 EXIT_IO = 4
 
 
-def _add_simulation_flags(parser: argparse.ArgumentParser, *, sweep: bool) -> None:
+def _add_simulation_flags(parser: argparse.ArgumentParser, *, omit: tuple[str, ...] = ()) -> None:
+    """Add the run flags; of the [simulation] keys, the command reads those not in ``omit``."""
     parser.add_argument("--config", help="INI configuration file")
     parser.add_argument("--out-dir", default="out", help="artifact directory (default: out)")
-    if not sweep:
-        parser.add_argument("--gamma", type=float, help="anomalous exponent in (0, 1]")
-        parser.add_argument("--memory", help="history strategy: full, short:<length>, adaptive:<base>")
-    parser.add_argument("--alpha", type=float, help="diffusion coefficient")
-    parser.add_argument("--beta", type=float, help="linear decay rate")
-    parser.add_argument("--dt", type=float, help="time step")
-    parser.add_argument("--dx", type=float, help="grid spacing")
-    parser.add_argument("--grid", help="grid extent NXxNY, e.g. 100x100")
-    parser.add_argument("--steps", type=int, help="number of time steps")
+    for key, kind, text in (
+        ("gamma", float, "anomalous exponent in (0, 1]"),
+        ("memory", str, "history strategy: full, short:<length>, adaptive:<base>"),
+        ("alpha", float, "diffusion coefficient"),
+        ("beta", float, "linear decay rate"),
+        ("dt", float, "time step"),
+        ("dx", float, "grid spacing"),
+        ("grid", str, "grid extent NXxNY, e.g. 100x100"),
+        ("steps", int, "number of time steps"),
+        ("snapshot_every", int, "snapshot cadence in steps"),
+        ("memory_cap", int, "history allocation cap in bytes"),
+    ):
+        if key not in omit:
+            parser.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
     parser.add_argument(
         "--source",
         action="append",
@@ -106,8 +112,6 @@ def _add_simulation_flags(parser: argparse.ArgumentParser, *, sweep: bool) -> No
         metavar="CSV",
         help="dense initial field; grid extent and sources come from this file",
     )
-    parser.add_argument("--snapshot-every", type=int, help="snapshot cadence in steps")
-    parser.add_argument("--memory-cap", type=int, help="history allocation cap in bytes")
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
@@ -129,14 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one simulation and write its artifacts")
-    _add_simulation_flags(p, sweep=False)
+    _add_simulation_flags(p)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser(
         "benchmark",
         help="score short/adaptive strategies against full memory",
     )
-    _add_simulation_flags(p, sweep=True)
+    # Each run's gamma and memory come from the sweep, and it keeps no snapshots.
+    _add_simulation_flags(p, omit=("gamma", "memory", "snapshot_every"))
     _add_sweep_flags(p)
     p.set_defaults(handler=_cmd_benchmark)
 
@@ -144,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep-gamma",
         help="run the same configuration across several gammas (full memory)",
     )
-    _add_simulation_flags(p, sweep=True)
+    # Each run's gamma comes from --gammas, and its memory is always full.
+    _add_simulation_flags(p, omit=("gamma", "memory"))
     p.add_argument("--gammas", help="comma-separated gamma values")
     p.set_defaults(handler=_cmd_sweep_gamma)
 
@@ -158,8 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    # A command without a key's flag (gamma and memory for sweeps) leaves it unset.
+def _resolve_simulation(args: argparse.Namespace, *, defaults=None):
+    """Merge ``defaults`` < ``--config`` < flags; the file may set only keys with a flag here."""
+    file_map = load_config_file(args.config) if args.config else {}
+    for section in ("simulation", "sweep"):
+        for key in file_map.get(section, {}):
+            if key not in vars(args):
+                raise ConfigError(
+                    f"{args.config}: {args.command} does not read key '{key}' in [{section}]"
+                )
     over = {key: getattr(args, key, None) for key in SIM_KEYS}
     if args.source:
         over["sources"] = tuple(parse_source(s) for s in args.source)
@@ -175,13 +188,7 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         over["sources"] = tuple(
             (int(j), int(l), float(field[j, l])) for j, l in nz
         )
-    return over
-
-
-def _resolve_simulation(args: argparse.Namespace, *, defaults=None):
-    file_map = load_config_file(args.config) if args.config else {}
-    overrides = _overrides_from_args(args)
-    return build_simulation(file_map, overrides, defaults), file_map
+    return build_simulation(file_map, over, defaults), file_map
 
 
 def _resolve_sweep(args: argparse.Namespace, file_map):
@@ -193,41 +200,44 @@ def _utc_now() -> str:
 
 
 class _Artifacts:
-    """The files one command writes under ``out_dir``, and their manifest.
+    """The files one command writes under ``--out-dir``, and their manifest.
 
     Creating it makes the directory and notes the start time; ``path`` names
     an artifact and returns where to write it; ``finish`` writes
-    ``manifest.json`` listing every named artifact.
+    ``manifest.json`` listing every named artifact and the settings read.
     """
 
-    def __init__(self, out_dir: str, command: str) -> None:
-        os.makedirs(out_dir, exist_ok=True)
-        self.out_dir = out_dir
-        self.command = command
+    def __init__(self, args: argparse.Namespace) -> None:
+        os.makedirs(args.out_dir, exist_ok=True)
+        self.args = args
         self.names: list[str] = []
         self.started = _utc_now()
 
+    def settings_read(self, settings: dict) -> dict:
+        """The entries of ``settings`` the command reads: its flags' and the sources."""
+        return {k: v for k, v in settings.items() if k in vars(self.args) or k == "sources"}
+
     def path(self, name: str) -> str:
         self.names.append(name)
-        return os.path.join(self.out_dir, name)
+        return os.path.join(self.args.out_dir, name)
 
-    def finish(self, config: dict | None, extra: dict | None = None) -> None:
+    def finish(self, config: dict, extra: dict | None = None) -> None:
         manifest = {
             "tool": "fracgrid",
             "version": __version__,
-            "command": self.command,
+            "command": self.args.command,
             "started_utc": self.started,
             "finished_utc": _utc_now(),
-            "config": config,
+            "config": self.settings_read(config),
             "artifacts": sorted(self.names),
         }
         if extra:
             manifest.update(extra)
-        path = os.path.join(self.out_dir, "manifest.json")
+        path = os.path.join(self.args.out_dir, "manifest.json")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        log.info("wrote %d artifacts to %s", len(self.names) + 1, self.out_dir)
+        log.info("wrote %d artifacts to %s", len(self.names) + 1, self.args.out_dir)
 
 
 def _gamma_tag(gamma: float) -> str:
@@ -239,10 +249,8 @@ def _progress_every(n_steps: int, verbose: bool) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config, file_map = _resolve_simulation(args)
-    if "sweep" in file_map:
-        raise ConfigError(f"{args.config}: simulate does not use the [sweep] section")
-    out = _Artifacts(args.out_dir, "simulate")
+    config, _ = _resolve_simulation(args)
+    out = _Artifacts(args)
     result = run(config, progress_every=_progress_every(config.n_steps, args.verbose))
 
     j, l = source_cell(config)
@@ -278,7 +286,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     config, file_map = _resolve_simulation(args, defaults=BENCHMARK_SCENARIO)
     spec = _resolve_sweep(args, file_map)
-    out = _Artifacts(args.out_dir, "benchmark")
+    out = _Artifacts(args)
 
     records = run_comparison(
         config,
@@ -329,17 +337,15 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
                 log_y=True,
             )
 
-    out.finish(config_as_dict(config), extra={"sweep": dataclasses.asdict(spec)})
+    sweep = out.settings_read(dataclasses.asdict(spec))
+    out.finish(config_as_dict(config), extra={"sweep": sweep})
     return EXIT_OK
 
 
 def _cmd_sweep_gamma(args: argparse.Namespace) -> int:
     config, file_map = _resolve_simulation(args, defaults=SPREAD_SCENARIO)
-    for key in file_map.get("sweep", {}):
-        if key != "gammas":
-            raise ConfigError(f"{args.config}: sweep-gamma does not use key '{key}' in [sweep]")
     spec = _resolve_sweep(args, file_map)
-    out = _Artifacts(args.out_dir, "sweep-gamma")
+    out = _Artifacts(args)
 
     entries = gamma_sweep(config, spec.gammas)
 
@@ -375,7 +381,8 @@ def _cmd_sweep_gamma(args: argparse.Namespace) -> int:
         x_label="t",
         y_label="concentration",
     )
-    out.finish(config_as_dict(config), extra={"sweep": {"gammas": list(spec.gammas)}})
+    sweep = out.settings_read(dataclasses.asdict(spec))
+    out.finish(config_as_dict(config), extra={"sweep": sweep})
     return EXIT_OK
 
 
@@ -392,7 +399,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     stats = coverage_report(schedule, args.k)
 
     if args.out_dir:
-        out = _Artifacts(args.out_dir, "schedule")
+        out = _Artifacts(args)
         write_schedule_csv(schedule, out.path("schedule.csv"))
         out.finish({"memory": args.memory, "k": args.k, "dt": args.dt})
     else:

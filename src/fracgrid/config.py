@@ -1,16 +1,14 @@
 """Run configuration: INI file schema, CLI merging, validation.
 
-A config file looks like::
+A ``benchmark`` config file looks like::
 
     [simulation]
-    gamma = 0.75
     alpha = 1.0
     beta = 0.0
     dt = 1.0
     dx = 10.0
     grid = 20x20
     steps = 1500
-    memory = adaptive:5
 
     [sources]
     10,10 = 10.0
@@ -23,7 +21,9 @@ A config file looks like::
 
 Command line flags override file values; anything still missing falls back
 to the subcommand's defaults.  Unknown sections or keys are rejected by
-name rather than ignored.
+name rather than ignored, and so is a key the running command has no flag
+for: ``simulate`` also reads ``gamma``, ``memory`` and ``snapshot_every``,
+but no ``[sweep]`` key.
 """
 
 from __future__ import annotations
@@ -201,19 +201,7 @@ def load_config_file(path: str) -> dict[str, dict[str, Any]]:
 
 
 def _file_sources(raw: Mapping[str, Any]) -> tuple[tuple[int, int, float], ...]:
-    sources = []
-    for coords, value in raw.items():
-        parts = [p.strip() for p in coords.split(",")]
-        if len(parts) != 2:
-            raise ConfigError(f"sources: expected 'j,l = value' entries, got {coords!r}")
-        sources.append(
-            (
-                _parse_int("sources", parts[0]),
-                _parse_int("sources", parts[1]),
-                _parse_float("sources", value),
-            )
-        )
-    return tuple(sources)
+    return tuple(parse_source(f"{coords}={value}") for coords, value in raw.items())
 
 
 def build_simulation(

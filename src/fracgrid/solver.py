@@ -322,9 +322,10 @@ def step(
     nxt = history_sum(history, schedule, table, k)
     decay = 1.0 - config.beta * config.dt
     diffuse = config.alpha * config.dt**config.gamma / config.dx**2
-    # u * decay + diffuse * S_k, bit for bit: IEEE + and * commute.
+    # u * decay + diffuse * S_k, bit for bit: IEEE + and * commute, and
+    # u * 1.0 is u, so the product is skipped when there is no decay.
     nxt *= diffuse
-    nxt += u * decay
+    nxt += u if decay == 1.0 else u * decay
     nxt[:: nxt.shape[0] - 1] = 0.0
     nxt[:, :: nxt.shape[1] - 1] = 0.0
     # max |u| without an |u| array; a nan in nxt makes both reductions nan.

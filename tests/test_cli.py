@@ -2,6 +2,8 @@
 
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +238,9 @@ def test_benchmark_artifacts(tmp_path):
     assert manifest["command"] == "benchmark"
     assert manifest["sweep"]["gammas"] == [0.5, 1.0]
     assert manifest["sweep"]["adaptive_bases"] == [3]
+    # Each run's gamma and memory come from the sweep, and it keeps no snapshots.
+    read = set(SIM_KEYS) - {"gamma", "memory", "snapshot_every"}
+    assert set(manifest["config"]) == read | {"sources"}
 
 
 def test_benchmark_rejects_bad_sweep(tmp_path, capsys):
@@ -313,7 +318,8 @@ def test_sweep_gamma_artifacts(tmp_path):
     first = (out / "trace_gamma_0p75.csv").read_text().splitlines()[0]
     assert first == "0,0.1"
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["sweep"]["gammas"] == [0.75, 1.0]
+    assert manifest["sweep"] == {"gammas": [0.75, 1.0]}
+    assert set(manifest["config"]) == set(SIM_KEYS) - {"gamma", "memory"} | {"sources"}
 
 
 def test_simulate_rejects_a_sweep_section(tmp_path, capsys):
@@ -329,23 +335,57 @@ def test_simulate_rejects_a_sweep_section(tmp_path, capsys):
     assert not out.exists()
 
 
+UNREAD_SETTINGS = [
+    ("sweep-gamma", "sweep", "short_lengths", "7"),
+    ("sweep-gamma", "sweep", "adaptive_bases", "3"),
+    ("sweep-gamma", "sweep", "repeats", "3"),
+    ("sweep-gamma", "simulation", "gamma", "0.3"),
+    ("sweep-gamma", "simulation", "memory", "full"),
+    ("benchmark", "simulation", "gamma", "0.3"),
+    ("benchmark", "simulation", "memory", "adaptive:5"),
+    ("benchmark", "simulation", "snapshot_every", "10"),
+]
+
+
 @pytest.mark.parametrize(
-    "key,value", [("short_lengths", "7"), ("adaptive_bases", "3"), ("repeats", "3")]
+    "command,section,key,value",
+    UNREAD_SETTINGS,
+    ids=[f"{k}-{v}" if c == "sweep-gamma" else f"{c}-{k}-{v}" for c, _, k, v in UNREAD_SETTINGS],
 )
-def test_sweep_gamma_rejects_sweep_keys_it_does_not_use(tmp_path, capsys, key, value):
-    ini = tmp_path / "sweep.ini"
-    ini.write_text(f"[sweep]\ngammas = 0.75, 1\n{key} = {value}\n")
-    out = tmp_path / "sweep"
+def test_sweep_gamma_rejects_sweep_keys_it_does_not_use(
+    tmp_path, capsys, command, section, key, value
+):
+    # A config file may set only what the command has a flag for.
+    lines = {"simulation": "dt = 0.5\n", "sweep": "gammas = 0.75, 1\n"}
+    lines[section] += f"{key} = {value}\n"
+    ini = tmp_path / "run.ini"
+    ini.write_text("".join(f"[{name}]\n{text}\n" for name, text in lines.items()))
+    out = tmp_path / "out"
     rc = main(
         [
-            "sweep-gamma", "--config", str(ini), "--out-dir", str(out),
-            "--dt", "0.5", "--dx", "5", "--grid", "12x12", "--steps", "20",
-            "--source", "6,6=0.1",
+            command, "--config", str(ini), "--out-dir", str(out),
+            "--dx", "5", "--grid", "12x12", "--steps", "20", "--source", "6,6=0.1",
         ]
     )
     assert rc == EXIT_CONFIG
-    assert f"'{key}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert command in err and f"'{key}'" in err and f"[{section}]" in err
     assert not out.exists()
+
+
+def test_readme_command_lines_parse():
+    # Every fracgrid command shown in the README's sh blocks uses flags that exist.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```sh\n")[1:]]
+    commands = [
+        shlex.split(line.removeprefix("$ "))
+        for line in "\n".join(blocks).replace("\\\n", " ").splitlines()
+        if line.removeprefix("$ ").startswith("fracgrid ")
+    ]
+    assert len(commands) >= 4
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def test_initial_grid_reproduces_source_run(tmp_path):

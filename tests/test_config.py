@@ -1,9 +1,11 @@
 """Unit tests for config files and flag merging."""
 
+import json
 from pathlib import Path
 
 import pytest
 
+from fracgrid.cli import main
 from fracgrid.config import (
     BENCHMARK_SCENARIO,
     ConfigError,
@@ -124,6 +126,11 @@ def test_parse_source():
         parse_source("50=0.1")
     with pytest.raises(ConfigError, match="source"):
         parse_source("1,2,0.1")
+    # A [sources] entry "j,l = value" follows the same grammar.
+    base = {"gamma": 0.5, "dt": 1.0, "dx": 10.0, "grid": "5x5", "steps": 1}
+    assert build_simulation({"sources": {" 2 , 3 ": "-0.5"}}, base).sources == ((2, 3, -0.5),)
+    with pytest.raises(ConfigError, match="source"):
+        build_simulation({"sources": {"2": "1.0"}}, base)
 
 
 @pytest.mark.parametrize(
@@ -228,8 +235,11 @@ def test_readme_config_example_loads(tmp_path):
     example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "example.ini"
     path.write_text(example)
-    file_map = load_config_file(str(path))
-    config = build_simulation(file_map, {})
-    assert config.alpha == 1.0 and config.beta == 0.0
-    assert config.history_byte_cap == 4294967296
-    assert build_sweep(file_map, {}).repeats == 1
+    out = tmp_path / "out"
+    # The flags only shorten the run; every key of the file must still be one it reads.
+    argv = ["benchmark", "--config", str(path), "--out-dir", str(out), "--steps", "20"]
+    assert main(argv + ["--gammas", "0.75", "--adaptive-bases", "3,5"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["alpha"] == 1.0 and manifest["config"]["beta"] == 0.0
+    assert manifest["config"]["memory_cap"] == 4294967296
+    assert manifest["sweep"]["repeats"] == 1
