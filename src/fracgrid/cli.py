@@ -6,44 +6,12 @@ diverges, 4 for I/O failures.
 
 from __future__ import annotations
 
-import os
-
-
-def _export_thread_cap() -> str | None:
-    """Honour FRACGRID_THREADS before numpy loads its BLAS backend.
-
-    0 or unset means "let the libraries decide".  The cap is best-effort: it
-    only seeds the usual thread-count environment variables and never
-    overrides ones already set.  Returns an error message for bad values so
-    main() can report them with a config-error exit.
-    """
-    raw = os.environ.get("FRACGRID_THREADS")
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        count = int(raw.strip())
-    except ValueError:
-        return f"FRACGRID_THREADS must be an integer, got {raw!r}"
-    if count < 0:
-        return f"FRACGRID_THREADS must be >= 0, got {count}"
-    if count > 0:
-        for var in (
-            "OPENBLAS_NUM_THREADS",
-            "OMP_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, str(count))
-    return None
-
-
-_THREAD_CAP_ERROR = _export_thread_cap()
-
 import argparse
 import dataclasses
 import datetime as _dt
 import json
 import logging
+import os
 import sys
 
 import numpy as np
@@ -53,8 +21,10 @@ from .benchmark import gamma_sweep, profile_and_trace, run_comparison, source_ce
 from .config import (
     BENCHMARK_SCENARIO,
     SIM_KEYS,
+    SIM_SETTINGS,
     SPREAD_SCENARIO,
     SWEEP_KEYS,
+    SWEEP_SETTINGS,
     ConfigError,
     build_simulation,
     build_sweep,
@@ -83,24 +53,20 @@ EXIT_DIVERGED = 3
 EXIT_IO = 4
 
 
-def _add_simulation_flags(parser: argparse.ArgumentParser, *, omit: tuple[str, ...] = ()) -> None:
-    """Add the run flags; of the [simulation] keys, the command reads those not in ``omit``."""
+def _add_run_flags(parser: argparse.ArgumentParser, *, omit: tuple[str, ...]) -> None:
+    """Add the run flags: one per [simulation] and [sweep] key not in ``omit``.
+
+    A settings flag takes text, as a file does; its key's function reads either.
+    """
+
+    def add_settings(settings):
+        for key, (_, text) in settings.items():
+            if key not in omit:
+                parser.add_argument("--" + key.replace("_", "-"), help=text)
+
     parser.add_argument("--config", help="INI configuration file")
     parser.add_argument("--out-dir", default="out", help="artifact directory (default: out)")
-    for key, kind, text in (
-        ("gamma", float, "anomalous exponent in (0, 1]"),
-        ("memory", str, "history strategy: full, short:<length>, adaptive:<base>"),
-        ("alpha", float, "diffusion coefficient"),
-        ("beta", float, "linear decay rate"),
-        ("dt", float, "time step"),
-        ("dx", float, "grid spacing"),
-        ("grid", str, "grid extent NXxNY, e.g. 100x100"),
-        ("steps", int, "number of time steps"),
-        ("snapshot_every", int, "snapshot cadence in steps"),
-        ("memory_cap", int, "history allocation cap in bytes"),
-    ):
-        if key not in omit:
-            parser.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
+    add_settings(SIM_SETTINGS)
     parser.add_argument(
         "--source",
         action="append",
@@ -112,13 +78,7 @@ def _add_simulation_flags(parser: argparse.ArgumentParser, *, omit: tuple[str, .
         metavar="CSV",
         help="dense initial field; grid extent and sources come from this file",
     )
-
-
-def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--gammas", help="comma-separated gamma values")
-    parser.add_argument("--short-lengths", help="comma-separated short-memory horizons")
-    parser.add_argument("--adaptive-bases", help="comma-separated adaptive base windows")
-    parser.add_argument("--repeats", type=int, help="timing repeats per cell (best-of)")
+    add_settings(SWEEP_SETTINGS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one simulation and write its artifacts")
-    _add_simulation_flags(p)
+    _add_run_flags(p, omit=SWEEP_KEYS)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser(
@@ -141,8 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="score short/adaptive strategies against full memory",
     )
     # Each run's gamma and memory come from the sweep, and it keeps no snapshots.
-    _add_simulation_flags(p, omit=("gamma", "memory", "snapshot_every"))
-    _add_sweep_flags(p)
+    _add_run_flags(p, omit=("gamma", "memory", "snapshot_every"))
     p.set_defaults(handler=_cmd_benchmark)
 
     p = sub.add_parser(
@@ -150,8 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the same configuration across several gammas (full memory)",
     )
     # Each run's gamma comes from --gammas, and its memory is always full.
-    _add_simulation_flags(p, omit=("gamma", "memory"))
-    p.add_argument("--gammas", help="comma-separated gamma values")
+    _add_run_flags(p, omit=("gamma", "memory", "short_lengths", "adaptive_bases", "repeats"))
     p.set_defaults(handler=_cmd_sweep_gamma)
 
     p = sub.add_parser("schedule", help="dump a memory schedule and its coverage")
@@ -387,12 +345,8 @@ def _cmd_sweep_gamma(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    try:
-        strategy = parse_memory_spec(args.memory)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if args.k < 0:
-        raise ConfigError(f"k must be >= 0, got {args.k}")
+    strategy = parse_memory_spec(args.memory)
+    # schedule_at checks k and the short horizon; full and adaptive never read dt.
     if not args.dt > 0:
         raise ConfigError(f"dt must be positive, got {args.dt}")
     schedule = strategy.schedule_at(args.k, args.dt)
@@ -418,9 +372,6 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if _THREAD_CAP_ERROR is not None:
-        print(f"fracgrid: {_THREAD_CAP_ERROR}", file=sys.stderr)
-        return EXIT_CONFIG
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(

@@ -19,6 +19,12 @@ A ``benchmark`` config file looks like::
     adaptive_bases = 3, 5, 8
     repeats = 1
 
+Each ``[simulation]`` and ``[sweep]`` key is declared once, in
+``SIM_SETTINGS`` or ``SWEEP_SETTINGS``: the function that reads its value and
+its flag's help text.  A value is read by that same function whether it comes
+from a file, from a flag or from a library caller, so a malformed one fails
+the same way, as ``<key>: ...``, wherever it was given.
+
 Command line flags override file values; anything still missing falls back
 to the subcommand's defaults.  Unknown sections or keys are rejected by
 name rather than ignored, and so is a key the running command has no flag
@@ -29,8 +35,8 @@ but no ``[sweep]`` key.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 from .coefficients import checked_gamma
 from .grid import DEFAULT_HISTORY_BYTE_CAP
@@ -42,21 +48,91 @@ class ConfigError(ValueError):
     """A configuration file or flag value is malformed or out of range."""
 
 
-# The [simulation] keys; each is also the destination of its command-line
-# flag and a key of config_as_dict.
-SIM_KEYS = (
-    "gamma",
-    "alpha",
-    "beta",
-    "dt",
-    "dx",
-    "grid",
-    "steps",
-    "memory",
-    "snapshot_every",
-    "memory_cap",
-)
+def _parse_int(raw: Any) -> int:
+    try:
+        if isinstance(raw, str):
+            return int(raw, 10)
+        if int(raw) != raw:
+            raise ValueError
+        return int(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected an integer, got {raw!r}") from None
 
+
+def _parse_count(raw: Any) -> int:
+    count = _parse_int(raw)
+    if count < 1:
+        raise ValueError(f"must be >= 1, got {count}")
+    return count
+
+
+def _parse_list(item: Callable[[str], Any]) -> Callable[[Any], tuple]:
+    """A parser of comma-separated text whose items ``item`` reads and checks."""
+
+    def parse(raw: Any) -> tuple:
+        items = [p for p in (s.strip() for s in str(raw).split(",")) if p]
+        if not items:
+            raise ValueError("empty list")
+        return tuple(item(p) for p in items)
+
+    return parse
+
+
+def parse_grid_size(raw: Any) -> tuple[int, int]:
+    """Parse a ``NXxNY`` grid extent such as ``100x100``."""
+    if isinstance(raw, tuple):
+        return int(raw[0]), int(raw[1])
+    parts = str(raw).lower().split("x")
+    if len(parts) != 2:
+        raise ConfigError(f"expected NXxNY (e.g. 100x100), got {raw!r}")
+    return _parse_int(parts[0]), _parse_int(parts[1])
+
+
+def parse_source(raw: str) -> tuple[int, int, float]:
+    """Parse one ``j,l=value`` source assignment."""
+    head, sep, value = str(raw).partition("=")
+    parts = [p.strip() for p in head.split(",")]
+    try:
+        if not sep or len(parts) != 2:
+            raise ValueError(f"expected j,l=value, got {raw!r}")
+        return _parse_int(parts[0]), _parse_int(parts[1]), float(value)
+    except ValueError as exc:
+        raise ConfigError(f"source: {exc}") from None
+
+
+# Every [simulation] and [sweep] key: the function that reads its value, which
+# raises ValueError (or TypeError) for a malformed one, and its flag's help
+# text.  The keys' order is their flags' order in --help.
+SIM_SETTINGS: dict[str, tuple[Callable[[Any], Any], str]] = {
+    "gamma": (float, "anomalous exponent in (0, 1]"),
+    "memory": (parse_memory_spec, "history strategy: full, short:<length>, adaptive:<base>"),
+    "alpha": (float, "diffusion coefficient"),
+    "beta": (float, "linear decay rate"),
+    "dt": (float, "time step"),
+    "dx": (float, "grid spacing"),
+    "grid": (parse_grid_size, "grid extent NXxNY, e.g. 100x100"),
+    "steps": (_parse_int, "number of time steps"),
+    "snapshot_every": (_parse_int, "snapshot cadence in steps"),
+    "memory_cap": (_parse_int, "history allocation cap in bytes"),
+}
+# Each sweep value is checked where it is read, by the gamma check or by the
+# strategy it stands for, so a bad one fails before any run.
+SWEEP_SETTINGS: dict[str, tuple[Callable[[Any], Any], str]] = {
+    "gammas": (_parse_list(checked_gamma), "comma-separated gamma values"),
+    "short_lengths": (
+        _parse_list(lambda text: ShortMemory(float(text)).length),
+        "comma-separated short-memory horizons",
+    ),
+    "adaptive_bases": (
+        _parse_list(lambda text: AdaptiveMemory(_parse_int(text)).base),
+        "comma-separated adaptive base windows",
+    ),
+    "repeats": (_parse_count, "timing repeats per cell (best-of)"),
+}
+SIM_KEYS = tuple(SIM_SETTINGS)
+SWEEP_KEYS = tuple(SWEEP_SETTINGS)
+
+# The [simulation] keys a run may leave unset; every other key is required.
 _SIM_DEFAULTS: dict[str, Any] = {
     "alpha": 1.0,
     "beta": 0.0,
@@ -79,8 +155,6 @@ class SweepSpec:
     adaptive_bases: tuple[int, ...] = DEFAULT_ADAPTIVE_BASES
     repeats: int = 1
 
-
-SWEEP_KEYS = tuple(f.name for f in fields(SweepSpec))
 
 # Bundled point-source benchmark scenario: a single strong source in the
 # middle of a small grid, run long enough that the history cost dominates.
@@ -113,56 +187,6 @@ SPREAD_SCENARIO: dict[str, Any] = {
         (50, 51, 0.05),
     ),
 }
-
-
-def _parse_float(key: str, raw: Any) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def _parse_int(key: str, raw: Any) -> int:
-    try:
-        if isinstance(raw, str):
-            return int(raw, 10)
-        if int(raw) != raw:
-            raise ValueError
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-
-
-def parse_grid_size(raw: Any) -> tuple[int, int]:
-    """Parse a ``NXxNY`` grid extent such as ``100x100``."""
-    if isinstance(raw, tuple):
-        return int(raw[0]), int(raw[1])
-    parts = str(raw).lower().split("x")
-    if len(parts) != 2:
-        raise ConfigError(f"grid: expected NXxNY (e.g. 100x100), got {raw!r}")
-    return _parse_int("grid", parts[0]), _parse_int("grid", parts[1])
-
-
-def parse_source(raw: str) -> tuple[int, int, float]:
-    """Parse one ``j,l=value`` source assignment."""
-    head, sep, value = str(raw).partition("=")
-    parts = [p.strip() for p in head.split(",")]
-    if not sep or len(parts) != 2:
-        raise ConfigError(f"source: expected j,l=value, got {raw!r}")
-    return (
-        _parse_int("source", parts[0]),
-        _parse_int("source", parts[1]),
-        _parse_float("source", value.strip()),
-    )
-
-
-def _parse_list(key: str, raw: Any, kind: type) -> tuple:
-    items = [p for p in (s.strip() for s in str(raw).split(",")) if p]
-    if not items:
-        raise ConfigError(f"{key}: empty list")
-    if kind is int:
-        return tuple(_parse_int(key, p) for p in items)
-    return tuple(_parse_float(key, p) for p in items)
 
 
 def load_config_file(path: str) -> dict[str, dict[str, Any]]:
@@ -204,6 +228,22 @@ def _file_sources(raw: Mapping[str, Any]) -> tuple[tuple[int, int, float], ...]:
     return tuple(parse_source(f"{coords}={value}") for coords, value in raw.items())
 
 
+def _read(settings: Mapping[str, tuple[Callable[[Any], Any], str]], merged: Mapping[str, Any]):
+    """Each value of ``merged`` read by its key's function in ``settings``.
+
+    A malformed value raises ``ConfigError("<key>: ...")``.  None, which only
+    the default of ``snapshot_every`` holds, stays None.
+    """
+    values: dict[str, Any] = {}
+    for key, (parse, _) in settings.items():
+        if key in merged:
+            try:
+                values[key] = None if merged[key] is None else parse(merged[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+    return values
+
+
 def build_simulation(
     file_map: Mapping[str, Mapping[str, Any]],
     overrides: Mapping[str, Any],
@@ -211,13 +251,12 @@ def build_simulation(
 ) -> SimulationConfig:
     """Merge defaults < config file < CLI overrides into a SimulationConfig.
 
-    ``overrides`` entries with value None are treated as "not given".
+    Entries of ``defaults`` and ``overrides`` with value None are treated as
+    "not given".
     """
     merged: dict[str, Any] = dict(_SIM_DEFAULTS)
-    if defaults:
-        merged.update({k: v for k, v in defaults.items() if k != "sources"})
-    merged.update(file_map.get("simulation", {}))
-    merged.update({k: v for k, v in overrides.items() if v is not None and k != "sources"})
+    for given in (defaults or {}, file_map.get("simulation", {}), overrides):
+        merged.update({k: v for k, v in given.items() if v is not None and k != "sources"})
 
     sources: tuple[tuple[int, int, float], ...]
     if overrides.get("sources") is not None:
@@ -229,34 +268,25 @@ def build_simulation(
     else:
         sources = ()
 
-    missing = [key for key in ("gamma", "dt", "dx", "grid", "steps") if merged.get(key) is None]
+    missing = [key for key in SIM_KEYS if key not in merged]
     if missing:
         raise ConfigError(f"missing required settings: {', '.join(missing)}")
-
-    nx, ny = parse_grid_size(merged["grid"])
-    snapshot_every = merged.get("snapshot_every")
-    if snapshot_every is not None:
-        snapshot_every = _parse_int("snapshot_every", snapshot_every)
-    memory_cap = _parse_int("memory_cap", merged["memory_cap"])
-    try:
-        memory = parse_memory_spec(merged["memory"])
-    except ValueError as exc:
-        raise ConfigError(f"memory: {exc}") from None
-
+    values = _read(SIM_SETTINGS, merged)
+    nx, ny = values["grid"]
     try:
         return SimulationConfig(
-            gamma=_parse_float("gamma", merged["gamma"]),
-            alpha=_parse_float("alpha", merged["alpha"]),
-            beta=_parse_float("beta", merged["beta"]),
-            dt=_parse_float("dt", merged["dt"]),
-            dx=_parse_float("dx", merged["dx"]),
+            gamma=values["gamma"],
+            alpha=values["alpha"],
+            beta=values["beta"],
+            dt=values["dt"],
+            dx=values["dx"],
             nx=nx,
             ny=ny,
-            n_steps=_parse_int("steps", merged["steps"]),
+            n_steps=values["steps"],
             sources=sources,
-            strategy=memory,
-            snapshot_every=snapshot_every,
-            history_byte_cap=memory_cap,
+            strategy=values["memory"],
+            snapshot_every=values["snapshot_every"],
+            history_byte_cap=values["memory_cap"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -268,37 +298,11 @@ def build_sweep(
 ) -> SweepSpec:
     """Merge the [sweep] section with CLI overrides; defaults fill the rest.
 
-    Each value is checked by the gamma check or the strategy it builds, so a
-    bad one is rejected before any run.
+    Only the keys given are read, and each is checked as it is read.
     """
-    merged: dict[str, Any] = {}
-    merged.update(file_map.get("sweep", {}))
+    merged: dict[str, Any] = dict(file_map.get("sweep", {}))
     merged.update({k: v for k, v in overrides.items() if v is not None})
-
-    given: dict[str, Any] = {}
-    for f in fields(SweepSpec):
-        if f.name not in merged:
-            continue
-        raw = merged[f.name]
-        # A tuple default makes the key a comma-separated list of its type.
-        if isinstance(f.default, tuple):
-            given[f.name] = _parse_list(f.name, raw, type(f.default[0]))
-        else:
-            given[f.name] = _parse_int(f.name, raw)
-    spec = SweepSpec(**given)
-    if spec.repeats < 1:
-        raise ConfigError(f"repeats: must be >= 1, got {spec.repeats}")
-    for key, check in (
-        ("gammas", checked_gamma),
-        ("short_lengths", ShortMemory),
-        ("adaptive_bases", AdaptiveMemory),
-    ):
-        for value in getattr(spec, key):
-            try:
-                check(value)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
-    return spec
+    return SweepSpec(**_read(SWEEP_SETTINGS, merged))
 
 
 def config_as_dict(config: SimulationConfig) -> dict[str, Any]:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shlex
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from fracgrid.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from fracgrid.config import (
     BENCHMARK_SCENARIO,
     SIM_KEYS,
+    SPREAD_SCENARIO,
     SWEEP_KEYS,
     build_simulation,
     config_as_dict,
@@ -374,7 +376,8 @@ def test_sweep_gamma_rejects_sweep_keys_it_does_not_use(
 
 
 def test_readme_command_lines_parse():
-    # Every fracgrid command shown in the README's sh blocks uses flags that exist.
+    # Every fracgrid command shown in the README's sh blocks uses flags that
+    # exist, with values its settings' parsers accept; nothing is run.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = [part.split("```", 1)[0] for part in readme.split("```sh\n")[1:]]
     commands = [
@@ -384,8 +387,65 @@ def test_readme_command_lines_parse():
     ]
     assert len(commands) >= 4
     parser = cli.build_parser()
+    scenarios = {"benchmark": BENCHMARK_SCENARIO, "sweep-gamma": SPREAD_SCENARIO}
     for argv in commands:
-        parser.parse_args(argv[1:])
+        args = parser.parse_args(argv[1:])
+        if args.command != "schedule":
+            _, file_map = cli._resolve_simulation(args, defaults=scenarios.get(args.command))
+            cli._resolve_sweep(args, file_map)
+
+
+def test_readme_settings_table_matches_the_flags():
+    # The README's "keys it reads" table names each command's settings flags.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [line.split("|")[1:4] for line in readme.splitlines() if line.startswith("| `")]
+
+    def keys(cell, every):
+        named = set(re.findall(r"`(\w+)`", cell))
+        return set(every) - named if cell.strip().startswith("all") else named
+
+    parser = cli.build_parser()
+    commands = []
+    for command, sim, sweep in rows:
+        commands.append(command.strip().strip("`"))
+        flags = set(vars(parser.parse_args([commands[-1]])))
+        assert keys(sim, SIM_KEYS) == flags & set(SIM_KEYS), commands[-1]
+        assert keys(sweep, SWEEP_KEYS) == flags & set(SWEEP_KEYS), commands[-1]
+    assert commands == ["simulate", "benchmark", "sweep-gamma"]
+
+
+MALFORMED = [
+    ("simulate", "simulation", "steps", "abc", "steps: expected an integer, got 'abc'"),
+    ("simulate", "simulation", "gamma", "x", "gamma: could not convert string to float: 'x'"),
+    ("simulate", "simulation", "grid", "5by5", "grid: expected NXxNY (e.g. 100x100), got '5by5'"),
+    ("simulate", "simulation", "memory", "sideways:3", "memory: bad memory spec 'sideways:3'"),
+    ("benchmark", "sweep", "gammas", "0.5,abc", "gammas: could not convert string to float: 'abc'"),
+    ("benchmark", "sweep", "repeats", "two", "repeats: expected an integer, got 'two'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,section,key,value,message", MALFORMED, ids=[m[2] for m in MALFORMED]
+)
+def test_malformed_value_fails_alike_by_flag_and_by_file(
+    tmp_path, capsys, command, section, key, value, message
+):
+    settings = {"gamma": "0.8", "dt": "1", "dx": "10", "grid": "12x12", "steps": "10"}
+    if command != "simulate":
+        del settings["gamma"]
+    settings.pop(key, None)
+    flags = [text for k, v in settings.items() for text in ("--" + k, v)]
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    errors = []
+    for given in (["--" + key, value], ["--config", str(ini)]):
+        rc = main([command, "--out-dir", str(out), *flags, "--source", "6,6=10", *given])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"fracgrid: {message}")
 
 
 def test_initial_grid_reproduces_source_run(tmp_path):
@@ -419,61 +479,6 @@ def test_reruns_are_byte_identical(tmp_path):
         os.path.join("snapshots", "step_000010.csv"),
     ):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
-
-
-THREAD_VARS = (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-def clear_thread_env(monkeypatch):
-    monkeypatch.delenv("FRACGRID_THREADS", raising=False)
-    for var in THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-
-
-def test_thread_cap_unset_or_zero(monkeypatch):
-    clear_thread_env(monkeypatch)
-    assert cli._export_thread_cap() is None
-    monkeypatch.setenv("FRACGRID_THREADS", "")
-    assert cli._export_thread_cap() is None
-    monkeypatch.setenv("FRACGRID_THREADS", "0")
-    assert cli._export_thread_cap() is None
-    assert all(var not in os.environ for var in THREAD_VARS)
-
-
-def test_thread_cap_seeds_blas_vars(monkeypatch):
-    clear_thread_env(monkeypatch)
-    monkeypatch.setenv("FRACGRID_THREADS", "2")
-    assert cli._export_thread_cap() is None
-    assert all(os.environ[var] == "2" for var in THREAD_VARS)
-
-
-def test_thread_cap_never_overrides(monkeypatch):
-    clear_thread_env(monkeypatch)
-    monkeypatch.setenv("FRACGRID_THREADS", "2")
-    monkeypatch.setenv("OMP_NUM_THREADS", "7")
-    assert cli._export_thread_cap() is None
-    assert os.environ["OMP_NUM_THREADS"] == "7"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-
-
-@pytest.mark.parametrize("bad", ["abc", "-1", "1.5"])
-def test_thread_cap_bad_values(monkeypatch, bad):
-    clear_thread_env(monkeypatch)
-    monkeypatch.setenv("FRACGRID_THREADS", bad)
-    message = cli._export_thread_cap()
-    assert message is not None and "FRACGRID_THREADS" in message
-
-
-def test_thread_cap_error_exits_config(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_THREAD_CAP_ERROR", "FRACGRID_THREADS must be an integer, got 'x'")
-    rc = main(["schedule", "--k", "1", "--memory", "full"])
-    assert rc == EXIT_CONFIG
-    assert "FRACGRID_THREADS" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

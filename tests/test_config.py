@@ -220,6 +220,18 @@ def test_build_sweep_validation():
         build_sweep({}, {"gammas": ""})
 
 
+def test_build_sweep_checks_only_the_keys_given(monkeypatch):
+    # Only the keys given are read: gammas alone builds no strategy to check.
+    built = []
+    for cls in (ShortMemory, AdaptiveMemory):
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, check=check: (built.append(self), check(self)))
+    assert build_sweep({}, {"gammas": "0.5"}).gammas == (0.5,)
+    assert built == []
+    assert build_sweep({}, {"short_lengths": "5, 10"}).short_lengths == (5.0, 10.0)
+    assert len(built) == 2
+
+
 def test_snapshot_and_cap_passthrough(tmp_path):
     ini = BASIC_INI + "\n"
     file_map = load_config_file(write_ini(tmp_path, ini))
