@@ -7,7 +7,6 @@ diverges, 4 for I/O failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime as _dt
 import json
 import logging
@@ -60,7 +59,7 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, omit: tuple[str, ...]) ->
     """
 
     def add_settings(settings):
-        for key, (_, text) in settings.items():
+        for key, (_, text, *_) in settings.items():
             if key not in omit:
                 parser.add_argument("--" + key.replace("_", "-"), help=text)
 
@@ -295,7 +294,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
                 log_y=True,
             )
 
-    sweep = out.settings_read(dataclasses.asdict(spec))
+    sweep = out.settings_read(spec._asdict())
     out.finish(config_as_dict(config), extra={"sweep": sweep})
     return EXIT_OK
 
@@ -339,7 +338,7 @@ def _cmd_sweep_gamma(args: argparse.Namespace) -> int:
         x_label="t",
         y_label="concentration",
     )
-    sweep = out.settings_read(dataclasses.asdict(spec))
+    sweep = out.settings_read(spec._asdict())
     out.finish(config_as_dict(config), extra={"sweep": sweep})
     return EXIT_OK
 

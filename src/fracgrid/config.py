@@ -20,10 +20,14 @@ A ``benchmark`` config file looks like::
     repeats = 1
 
 Each ``[simulation]`` and ``[sweep]`` key is declared once, in
-``SIM_SETTINGS`` or ``SWEEP_SETTINGS``: the function that reads its value and
-its flag's help text.  A value is read by that same function whether it comes
-from a file, from a flag or from a library caller, so a malformed one fails
-the same way, as ``<key>: ...``, wherever it was given.
+``SIM_SETTINGS`` or ``SWEEP_SETTINGS``: the function that reads its value,
+its flag's help text and, unless the key is required, its default.  The run
+defaults and ``SweepSpec`` follow from these tables, and ``_FIELDS`` names
+the ``SimulationConfig`` field a key sets where the two names differ, both to
+build a config and to read it back for the manifest.  A value is read by its
+key's function whether it comes from a file, from a flag or from a library
+caller, so a malformed one fails the same way, as ``<key>: ...``, wherever
+it was given.
 
 Command line flags override file values; anything still missing falls back
 to the subcommand's defaults.  Unknown sections or keys are rejected by
@@ -34,13 +38,14 @@ but no ``[sweep]`` key.
 
 from __future__ import annotations
 
+import collections
 import configparser
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from .coefficients import checked_gamma
 from .grid import DEFAULT_HISTORY_BYTE_CAP
-from .schedule import AdaptiveMemory, ShortMemory, format_memory_spec, parse_memory_spec
+from .schedule import AdaptiveMemory, MemoryStrategy, ShortMemory
+from .schedule import format_memory_spec, parse_memory_spec
 from .solver import SimulationConfig
 
 
@@ -79,10 +84,8 @@ def _parse_list(item: Callable[[str], Any]) -> Callable[[Any], tuple]:
 
 
 def parse_grid_size(raw: Any) -> tuple[int, int]:
-    """Parse a ``NXxNY`` grid extent such as ``100x100``."""
-    if isinstance(raw, tuple):
-        return int(raw[0]), int(raw[1])
-    parts = str(raw).lower().split("x")
+    """Parse a ``NXxNY`` grid extent such as ``100x100``, or an ``(nx, ny)`` pair."""
+    parts = raw if isinstance(raw, tuple) else str(raw).lower().split("x")
     if len(parts) != 2:
         raise ConfigError(f"expected NXxNY (e.g. 100x100), got {raw!r}")
     return _parse_int(parts[0]), _parse_int(parts[1])
@@ -100,60 +103,59 @@ def parse_source(raw: str) -> tuple[int, int, float]:
         raise ConfigError(f"source: {exc}") from None
 
 
-# Every [simulation] and [sweep] key: the function that reads its value, which
-# raises ValueError (or TypeError) for a malformed one, and its flag's help
-# text.  The keys' order is their flags' order in --help.
-SIM_SETTINGS: dict[str, tuple[Callable[[Any], Any], str]] = {
-    "gamma": (float, "anomalous exponent in (0, 1]"),
-    "memory": (parse_memory_spec, "history strategy: full, short:<length>, adaptive:<base>"),
-    "alpha": (float, "diffusion coefficient"),
-    "beta": (float, "linear decay rate"),
-    "dt": (float, "time step"),
-    "dx": (float, "grid spacing"),
-    "grid": (parse_grid_size, "grid extent NXxNY, e.g. 100x100"),
-    "steps": (_parse_int, "number of time steps"),
-    "snapshot_every": (_parse_int, "snapshot cadence in steps"),
-    "memory_cap": (_parse_int, "history allocation cap in bytes"),
-}
-# Each sweep value is checked where it is read, by the gamma check or by the
-# strategy it stands for, so a bad one fails before any run.
-SWEEP_SETTINGS: dict[str, tuple[Callable[[Any], Any], str]] = {
-    "gammas": (_parse_list(checked_gamma), "comma-separated gamma values"),
-    "short_lengths": (
-        _parse_list(lambda text: ShortMemory(float(text)).length),
-        "comma-separated short-memory horizons",
-    ),
-    "adaptive_bases": (
-        _parse_list(lambda text: AdaptiveMemory(_parse_int(text)).base),
-        "comma-separated adaptive base windows",
-    ),
-    "repeats": (_parse_count, "timing repeats per cell (best-of)"),
-}
-SIM_KEYS = tuple(SIM_SETTINGS)
-SWEEP_KEYS = tuple(SWEEP_SETTINGS)
-
-# The [simulation] keys a run may leave unset; every other key is required.
-_SIM_DEFAULTS: dict[str, Any] = {
-    "alpha": 1.0,
-    "beta": 0.0,
-    "memory": "full",
-    "snapshot_every": None,
-    "memory_cap": DEFAULT_HISTORY_BYTE_CAP,
-}
-
 DEFAULT_GAMMAS = (0.5, 0.75, 0.9, 1.0)
 DEFAULT_SHORT_LENGTHS = (10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 1500.0)
 DEFAULT_ADAPTIVE_BASES = (3, 4, 5, 8, 12, 20, 40, 100)
 
+# Every [simulation] and [sweep] key: the function that reads its value, which
+# raises ValueError (or TypeError) for a malformed one, its flag's help text
+# and, for a key a run may leave unset, its default.  A key with no default is
+# required.  The keys' order is their flags' order in --help.
+SIM_SETTINGS: dict[str, tuple[Any, ...]] = {
+    "gamma": (float, "anomalous exponent in (0, 1]"),
+    "memory": (
+        parse_memory_spec, "history strategy: full, short:<length>, adaptive:<base>", "full"
+    ),
+    "alpha": (float, "diffusion coefficient", 1.0),
+    "beta": (float, "linear decay rate", 0.0),
+    "dt": (float, "time step"),
+    "dx": (float, "grid spacing"),
+    "grid": (parse_grid_size, "grid extent NXxNY, e.g. 100x100"),
+    "steps": (_parse_int, "number of time steps"),
+    "snapshot_every": (_parse_int, "snapshot cadence in steps", None),
+    "memory_cap": (_parse_int, "history allocation cap in bytes", DEFAULT_HISTORY_BYTE_CAP),
+}
+# Each sweep value is checked where it is read, by the gamma check or by the
+# strategy it stands for, so a bad one fails before any run.  A default is
+# not read: it is valid as it stands.
+SWEEP_SETTINGS: dict[str, tuple[Any, ...]] = {
+    "gammas": (_parse_list(checked_gamma), "comma-separated gamma values", DEFAULT_GAMMAS),
+    "short_lengths": (
+        _parse_list(lambda text: ShortMemory(float(text)).length),
+        "comma-separated short-memory horizons",
+        DEFAULT_SHORT_LENGTHS,
+    ),
+    "adaptive_bases": (
+        _parse_list(lambda text: AdaptiveMemory(_parse_int(text)).base),
+        "comma-separated adaptive base windows",
+        DEFAULT_ADAPTIVE_BASES,
+    ),
+    "repeats": (_parse_count, "timing repeats per cell (best-of)", 1),
+}
+SIM_KEYS = tuple(SIM_SETTINGS)
+SWEEP_KEYS = tuple(SWEEP_SETTINGS)
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Strategy grid for a benchmark comparison; its fields are the [sweep] keys."""
+_SIM_DEFAULTS = {key: entry[2] for key, entry in SIM_SETTINGS.items() if len(entry) > 2}
 
-    gammas: tuple[float, ...] = DEFAULT_GAMMAS
-    short_lengths: tuple[float, ...] = DEFAULT_SHORT_LENGTHS
-    adaptive_bases: tuple[int, ...] = DEFAULT_ADAPTIVE_BASES
-    repeats: int = 1
+# Strategy grid for a benchmark comparison: one field per [sweep] key, each
+# defaulting to the key's default (every [sweep] key has one).
+SweepSpec = collections.namedtuple(
+    "SweepSpec", SWEEP_KEYS, defaults=[entry[2] for entry in SWEEP_SETTINGS.values()]
+)
+
+# The SimulationConfig field a [simulation] key sets, where their names
+# differ; ``grid`` sets two, ``nx`` and ``ny``.
+_FIELDS = {"steps": "n_steps", "memory": "strategy", "memory_cap": "history_byte_cap"}
 
 
 # Bundled point-source benchmark scenario: a single strong source in the
@@ -202,40 +204,25 @@ def load_config_file(path: str) -> dict[str, dict[str, Any]]:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    known = {"simulation", "sources", "sweep"}
     for section in parser.sections():
-        if section not in known:
+        if section not in ("simulation", "sources", "sweep"):
             raise ConfigError(f"{path}: unknown section [{section}]")
-    result: dict[str, dict[str, Any]] = {}
-    if parser.has_section("simulation"):
-        sim = dict(parser.items("simulation"))
-        for key in sim:
-            if key not in SIM_KEYS:
-                raise ConfigError(f"{path}: unknown key '{key}' in [simulation]")
-        result["simulation"] = sim
-    if parser.has_section("sources"):
-        result["sources"] = dict(parser.items("sources"))
-    if parser.has_section("sweep"):
-        sweep = dict(parser.items("sweep"))
-        for key in sweep:
-            if key not in SWEEP_KEYS:
-                raise ConfigError(f"{path}: unknown key '{key}' in [sweep]")
-        result["sweep"] = sweep
+    result = {section: dict(parser.items(section)) for section in parser.sections()}
+    for section, keys in (("simulation", SIM_KEYS), ("sweep", SWEEP_KEYS)):
+        for key in result.get(section, {}):
+            if key not in keys:
+                raise ConfigError(f"{path}: unknown key '{key}' in [{section}]")
     return result
 
 
-def _file_sources(raw: Mapping[str, Any]) -> tuple[tuple[int, int, float], ...]:
-    return tuple(parse_source(f"{coords}={value}") for coords, value in raw.items())
-
-
-def _read(settings: Mapping[str, tuple[Callable[[Any], Any], str]], merged: Mapping[str, Any]):
+def _read(settings: Mapping[str, tuple[Any, ...]], merged: Mapping[str, Any]):
     """Each value of ``merged`` read by its key's function in ``settings``.
 
     A malformed value raises ``ConfigError("<key>: ...")``.  None, which only
     the default of ``snapshot_every`` holds, stays None.
     """
     values: dict[str, Any] = {}
-    for key, (parse, _) in settings.items():
+    for key, (parse, *_) in settings.items():
         if key in merged:
             try:
                 values[key] = None if merged[key] is None else parse(merged[key])
@@ -252,41 +239,27 @@ def build_simulation(
     """Merge defaults < config file < CLI overrides into a SimulationConfig.
 
     Entries of ``defaults`` and ``overrides`` with value None are treated as
-    "not given".
+    "not given".  A file's [sources] section is not read when an override
+    replaces it.
     """
-    merged: dict[str, Any] = dict(_SIM_DEFAULTS)
-    for given in (defaults or {}, file_map.get("simulation", {}), overrides):
-        merged.update({k: v for k, v in given.items() if v is not None and k != "sources"})
-
-    sources: tuple[tuple[int, int, float], ...]
-    if overrides.get("sources") is not None:
-        sources = tuple(overrides["sources"])
-    elif "sources" in file_map:
-        sources = _file_sources(file_map["sources"])
-    elif defaults and "sources" in defaults:
-        sources = tuple(defaults["sources"])
-    else:
-        sources = ()
+    simulation = dict(file_map.get("simulation", {}))
+    if "sources" in file_map and overrides.get("sources") is None:
+        simulation["sources"] = tuple(
+            parse_source(f"{coords}={value}") for coords, value in file_map["sources"].items()
+        )
+    merged: dict[str, Any] = dict(_SIM_DEFAULTS, sources=())
+    for given in (defaults or {}, simulation, overrides):
+        merged.update({k: v for k, v in given.items() if v is not None})
 
     missing = [key for key in SIM_KEYS if key not in merged]
     if missing:
         raise ConfigError(f"missing required settings: {', '.join(missing)}")
     values = _read(SIM_SETTINGS, merged)
-    nx, ny = values["grid"]
+    values["nx"], values["ny"] = values.pop("grid")
     try:
         return SimulationConfig(
-            gamma=values["gamma"],
-            alpha=values["alpha"],
-            beta=values["beta"],
-            dt=values["dt"],
-            dx=values["dx"],
-            nx=nx,
-            ny=ny,
-            n_steps=values["steps"],
-            sources=sources,
-            strategy=values["memory"],
-            snapshot_every=values["snapshot_every"],
-            history_byte_cap=values["memory_cap"],
+            sources=tuple(merged["sources"]),
+            **{_FIELDS.get(key, key): value for key, value in values.items()},
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -306,17 +279,15 @@ def build_sweep(
 
 
 def config_as_dict(config: SimulationConfig) -> dict[str, Any]:
-    """JSON-friendly view of a fully-resolved configuration."""
-    return {
-        "gamma": config.gamma,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "dt": config.dt,
-        "dx": config.dx,
-        "grid": f"{config.nx}x{config.ny}",
-        "steps": config.n_steps,
-        "memory": format_memory_spec(config.strategy),
-        "snapshot_every": config.snapshot_every,
-        "memory_cap": config.history_byte_cap,
-        "sources": [[j, l, value] for j, l, value in config.sources],
-    }
+    """JSON-friendly view of a fully-resolved configuration, keyed by setting.
+
+    Each key holds the field it sets (``_FIELDS``), a memory strategy written
+    as its spec; ``grid`` is written as ``NXxNY``.
+    """
+    grid = f"{config.nx}x{config.ny}"
+    view = {}
+    for key in SIM_KEYS:
+        value = grid if key == "grid" else getattr(config, _FIELDS.get(key, key))
+        view[key] = format_memory_spec(value) if isinstance(value, MemoryStrategy) else value
+    view["sources"] = [[j, l, value] for j, l, value in config.sources]
+    return view

@@ -25,6 +25,7 @@ the full-memory weight mass.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -153,7 +154,13 @@ def short_horizon(length: float, dt: float) -> int:
 def short_schedule(k: int, length: float, dt: float) -> MemorySchedule:
     """Offsets 0..min(:func:`short_horizon`, k) with unit weight."""
     k = _checked_step(k)
-    horizon = min(short_horizon(length, dt), k)
+    horizon = short_horizon(length, dt)
+    return MemorySchedule(((0, k + 1, 1),)) if k < horizon else _steady_short_schedule(horizon)
+
+
+@functools.lru_cache(maxsize=64)
+def _steady_short_schedule(horizon: int) -> MemorySchedule:
+    """Offsets 0..horizon: short memory's schedule at every step k >= horizon."""
     return MemorySchedule(((0, horizon + 1, 1),))
 
 
@@ -172,8 +179,6 @@ def adaptive_schedule(k: int, base: int) -> MemorySchedule:
     base = int(base)
     if base < 2:
         raise ValueError(f"adaptive base must be >= 2, got {base}")
-    if k <= base:
-        return full_schedule(k)
 
     runs = [(0, base + 1, 1)]
     # Newest sample so far and the interval that sampled it.

@@ -321,7 +321,7 @@ def step(
     schedule = config.strategy.schedule_at(k, config.dt)
     nxt = history_sum(history, schedule, table, k)
     decay = 1.0 - config.beta * config.dt
-    diffuse = config.alpha * config.dt**config.gamma / config.dx**2
+    diffuse = config.stability_ratio
     # u * decay + diffuse * S_k, bit for bit: IEEE + and * commute, and
     # u * 1.0 is u, so the product is skipped when there is no decay.
     nxt *= diffuse

@@ -15,8 +15,11 @@ from fracgrid.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from fracgrid.config import (
     BENCHMARK_SCENARIO,
     SIM_KEYS,
+    SIM_SETTINGS,
     SPREAD_SCENARIO,
     SWEEP_KEYS,
+    SWEEP_SETTINGS,
+    SweepSpec,
     build_simulation,
     config_as_dict,
 )
@@ -295,6 +298,17 @@ def test_each_setting_is_spelled_once():
         "command", "handler", "verbose", "config", "out_dir", "source", "initial_grid",
     }
     assert benchmark - simulate == set(SWEEP_KEYS)
+    # The sweep spec, the manifest's view and the defaults follow the tables.
+    assert SweepSpec()._fields == SWEEP_KEYS
+    assert tuple(SweepSpec()) == tuple(entry[2] for entry in SWEEP_SETTINGS.values())
+    assert list(config_as_dict(config)) == [*SIM_KEYS, "sources"]
+    required = {key for key, entry in SIM_SETTINGS.items() if len(entry) == 2}
+    assert required == {"gamma", "dt", "dx", "grid", "steps"}
+    given = {key: BENCHMARK_SCENARIO[key] for key in required}
+    resolved = config_as_dict(build_simulation({}, given))
+    for key, entry in SIM_SETTINGS.items():
+        if key not in required:
+            assert resolved[key] == entry[2], key
 
 
 def test_sweep_gamma_artifacts(tmp_path):

@@ -119,6 +119,12 @@ def test_parse_grid_size():
         parse_grid_size("100")
 
 
+@pytest.mark.parametrize("grid", [(12, 12, 99), (12,)])
+def test_grid_pair_must_have_two_items(grid):
+    with pytest.raises(ConfigError, match="grid: "):
+        build_simulation({}, {"grid": grid}, BENCHMARK_SCENARIO)
+
+
 def test_parse_source():
     assert parse_source("50,50=0.1") == (50, 50, 0.1)
     assert parse_source(" 3 , 4 = -2.5 ") == (3, 4, -2.5)
@@ -255,3 +261,14 @@ def test_readme_config_example_loads(tmp_path):
     assert manifest["config"]["alpha"] == 1.0 and manifest["config"]["beta"] == 0.0
     assert manifest["config"]["memory_cap"] == 4294967296
     assert manifest["sweep"]["repeats"] == 1
+
+
+def test_readme_library_example_runs(capsys):
+    # The README's "Library use" block runs as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(compile(example, "README.md", "exec"), scope)
+    assert scope["result"].config.strategy == AdaptiveMemory(5)
+    assert scope["result"].config.n_steps == 1500
+    assert capsys.readouterr().out.strip()
