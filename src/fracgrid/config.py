@@ -282,12 +282,14 @@ def config_as_dict(config: SimulationConfig) -> dict[str, Any]:
     """JSON-friendly view of a fully-resolved configuration, keyed by setting.
 
     Each key holds the field it sets (``_FIELDS``), a memory strategy written
-    as its spec; ``grid`` is written as ``NXxNY``.
+    as its spec; ``grid`` is written as ``NXxNY``, and ``snapshot_every`` as
+    the cadence the run uses, also when it was left unset.
     """
     grid = f"{config.nx}x{config.ny}"
     view = {}
     for key in SIM_KEYS:
         value = grid if key == "grid" else getattr(config, _FIELDS.get(key, key))
         view[key] = format_memory_spec(value) if isinstance(value, MemoryStrategy) else value
+    view["snapshot_every"] = config.snapshot_cadence
     view["sources"] = [[j, l, value] for j, l, value in config.sources]
     return view

@@ -128,6 +128,17 @@ def test_manifest_records_history_bytes(tmp_path, memory, fields):
     assert manifest["history_bytes"] == fields * 12 * 12 * 8
 
 
+def test_manifest_records_the_snapshot_cadence_used(tmp_path):
+    # Left unset, the cadence is ceil(steps / 100): 3 for 250 steps.
+    out = tmp_path / "x"
+    flags = SIM_FLAGS[: SIM_FLAGS.index("--snapshot-every")]
+    assert main(["simulate", "--out-dir", str(out), *flags, "--steps", "250"]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["snapshot_every"] == 3
+    assert (out / "snapshots" / "step_000003.csv").is_file()
+    assert not (out / "snapshots" / "step_000002.csv").exists()
+
+
 def test_memory_cap_too_small(tmp_path, capsys):
     rc = run_simulate(tmp_path / "x", ["--memory-cap", "64"])
     assert rc == EXIT_CONFIG
@@ -305,10 +316,14 @@ def test_each_setting_is_spelled_once():
     required = {key for key, entry in SIM_SETTINGS.items() if len(entry) == 2}
     assert required == {"gamma", "dt", "dx", "grid", "steps"}
     given = {key: BENCHMARK_SCENARIO[key] for key in required}
-    resolved = config_as_dict(build_simulation({}, given))
+    minimal = build_simulation({}, given)
+    resolved = config_as_dict(minimal)
     for key, entry in SIM_SETTINGS.items():
-        if key not in required:
+        if key not in required | {"snapshot_every"}:
             assert resolved[key] == entry[2], key
+    # An unset cadence is recorded as the one the run uses.
+    assert SIM_SETTINGS["snapshot_every"][2] is None
+    assert resolved["snapshot_every"] == minimal.snapshot_cadence
 
 
 def test_sweep_gamma_artifacts(tmp_path):

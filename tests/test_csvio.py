@@ -12,6 +12,7 @@ import fracgrid
 
 from fracgrid.benchmark import BenchmarkRecord
 from fracgrid.csvio import (
+    _CHUNK_VALUES,
     BENCHMARK_HEADER,
     format_benchmark_rows,
     format_float,
@@ -23,7 +24,8 @@ from fracgrid.csvio import (
     write_trace_csv,
 )
 from fracgrid.grid import Grid2D
-from fracgrid.schedule import adaptive_schedule
+from fracgrid.schedule import adaptive_schedule, parse_memory_spec
+from fracgrid.solver import SimulationConfig, run
 
 
 @pytest.mark.parametrize(
@@ -47,6 +49,95 @@ def test_format_float(value, expected):
 @pytest.mark.parametrize("value", [1 / 3, 0.056348478969874, 9.6, 123456.789, 2**-40])
 def test_format_float_round_trips(value):
     assert float(format_float(value)) == value
+
+
+def assert_cells_match_format_float(tmp_path, data):
+    """``write_grid_csv`` writes each cell of ``data`` as ``format_float`` does."""
+    path = tmp_path / "cells.csv"
+    write_grid_csv(data, str(path))
+    lines = path.read_text().split("\n")
+    assert lines.pop() == ""
+    rows = data.T.tolist()
+    assert len(lines) == len(rows)
+    cells = [cell for line in lines for cell in line.split(",")]
+    expected = [format_float(v) for row in rows for v in row]
+    assert len(cells) == len(expected)
+    wrong = [(v, got) for v, got, want in zip(data.T.ravel(), cells, expected) if got != want]
+    assert not wrong, wrong[:5]
+
+
+def test_bulk_formatting_matches_format_float_on_random_bits(tmp_path):
+    bits = np.random.default_rng(20180618).integers(0, 2**64, 120_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)][:100_000]
+    assert values.size == 100_000
+    assert_cells_match_format_float(tmp_path, values.reshape(400, 250))
+
+
+def test_bulk_formatting_covers_every_binary_exponent(tmp_path):
+    exponents = np.arange(2047, dtype=np.uint64) << np.uint64(52)
+    mantissas = np.array(
+        [0, 1, 2, 3, 2**51, 2**52 - 1, 2**52 - 2, 0x123456789ABCD, 0xFEDCBA9876543],
+        dtype=np.uint64,
+    )
+    bits = exponents[:, None] | mantissas[None, :]
+    bits = np.concatenate([bits, bits | np.uint64(1 << 63)], axis=1)
+    assert_cells_match_format_float(tmp_path, bits.view(np.float64))
+
+
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+    1e-5, 1e-4, 9.999999999999999e-5, 0.00012345, 1.2345e-5,
+    9999999999999998.0, 1e16, 1.0000000000000002e16, 12345678901234567.0,
+    1.0, 2.0, 10.0, 100.0, 1e15, 1e17, 1e22, 1e23, 2.0**53, 2.0**53 + 2, -7.0,
+    0.1, 0.5, 0.3, 1 / 3, 2 / 3, 1.5e22, 1e-7, 0.001, 123.456, 1e100, 1e-100,
+    9.5, 0.12, 1.2, 12.3, 123.45, 1234.567, 12345.6789, 123456.78901,
+    1234567.890123, 12345678.9012345, 123456789.01234567, 1234567890.1234567,
+    0.56348478969874, 6.5e-89, -6.5e-89, 1.7976931348623157e308 / 3, 4.35e-322,
+    # Exact integers that end in ...2560: the dropped digits are 5 and more.
+    1.2598819957568963e19, 1.4129340143433155e19,
+]
+
+
+def test_bulk_formatting_edge_values(tmp_path):
+    values = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES])
+    assert_cells_match_format_float(tmp_path, values.reshape(-1, 2))
+
+
+def test_bulk_formatting_of_non_finite_values(tmp_path):
+    data = np.array([[np.nan, 1.5], [np.inf, -np.inf], [-np.nan, 0.0]])
+    assert_cells_match_format_float(tmp_path, data)
+    path = tmp_path / "cells.csv"
+    assert path.read_text() == "nan,inf,nan\n1.5,-inf,0\n"
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(150, 300), (3, _CHUNK_VALUES + 5)],
+    ids=["rows-across-chunks", "row-wider-than-a-chunk"],
+)
+def test_bulk_formatting_across_chunks(tmp_path, shape):
+    # (150, 300) is written as 300 rows of 150 values, more than one chunk.
+    rng = np.random.default_rng(7)
+    data = rng.normal(size=shape) * np.exp(rng.uniform(-700, 700, size=shape))
+    assert data.size > _CHUNK_VALUES
+    assert_cells_match_format_float(tmp_path, data)
+
+
+def test_grid_csv_of_a_solved_field_is_unchanged(tmp_path):
+    # The bytes the per-value writer produced for a real short-memory field.
+    config = SimulationConfig(
+        gamma=0.75, alpha=1.0, beta=0.0, dt=1.0, dx=10.0, nx=100, ny=100, n_steps=300,
+        strategy=parse_memory_spec("short:100"),
+        sources=((37, 40, 12.0), (70, 62, 5.0)), snapshot_every=300,
+    )
+    field = run(config).final
+    path = tmp_path / "grid.csv"
+    write_grid_csv(field, str(path))
+    lines = [",".join(format_float(v) for v in row) + "\n" for row in field.data.T]
+    assert path.read_bytes() == "".join(lines).encode()
+    assert np.array_equal(read_grid_csv(str(path)), field.data)
 
 
 def test_grid_csv_zero_grid(tmp_path):
