@@ -79,7 +79,9 @@ def run_comparison(
     ``base_config`` must itself use full memory; its gamma is overridden by
     each entry of ``gammas`` in turn.  A run that diverges produces a record
     with NaN errors and the failure message instead of aborting the sweep.
-    Records come back sorted by (gamma, strategy name, parameter).
+    Records come back sorted by (gamma, strategy name, parameter).  Only
+    final fields are scored, so every run keeps just its first and last
+    snapshot, whatever ``base_config.snapshot_every`` says.
     """
     if not isinstance(base_config.strategy, FullMemory):
         raise ValueError("comparison reference must use the full-memory strategy")
@@ -94,7 +96,9 @@ def run_comparison(
     ]
     records: list[BenchmarkRecord] = []
     for gamma in gammas:
-        ref_config = replace(base_config, gamma=float(gamma))
+        ref_config = replace(
+            base_config, gamma=float(gamma), snapshot_every=max(1, base_config.n_steps)
+        )
         reference, ref_elapsed = _timed_run(ref_config, repeats)
         records.append(
             BenchmarkRecord(

@@ -129,13 +129,16 @@ class HistoryBuffer:
 
     ``capacity`` is the number of entries a run may append; the buffer keeps
     the newest ``window`` of them readable (all of them when ``window`` is
-    None).  When twice the window is fewer slots than ``capacity``, the
-    buffer is a mirrored ring of ``2 * window`` slots: entry i is written at
-    slot ``i % window`` and again at ``i % window + window``, so any ``window``
-    consecutive entries sit in consecutive slots and every read is one basic
-    slice, never a copy.  Short memory of horizon L therefore stores
-    2 (L/dt + 1) fields rather than one per step.  Otherwise ``capacity``
-    slots are allocated and the window is all of them.
+    None).  When ``window + ceil(window / 2)`` slots are fewer than
+    ``capacity``, the buffer is a compacting window of that many slots:
+    entry i sits at slot ``i - base``, and an append that finds every slot
+    used first moves the newest ``window - 1`` entries to the front and
+    advances ``base``.  Any ``window`` consecutive entries therefore sit in
+    consecutive slots, every read is one basic slice, never a copy, and a
+    compaction copies ``window - 1`` fields once per ``ceil(window / 2) + 1``
+    appends.  Short memory of horizon L stores W + ceil(W / 2) fields,
+    W = L/dt + 1, rather than one per step.  Otherwise ``capacity`` slots
+    are allocated and the window is all of them.
 
     The allocation is checked against a byte cap before any memory is
     committed, so appends never reallocate mid-run.  Entries are exposed
@@ -157,9 +160,8 @@ class HistoryBuffer:
         window = capacity if window is None else int(window)
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        if 2 * window < capacity:
-            slots = 2 * window
-        else:
+        slots = window + (window + 1) // 2
+        if slots >= capacity:
             slots = window = capacity
         nx, ny = int(shape[0]), int(shape[1])
         needed = slots * nx * ny * np.dtype(np.float64).itemsize
@@ -172,6 +174,7 @@ class HistoryBuffer:
         self._capacity = capacity
         self._window = window
         self._len = 0
+        self._base = 0
 
     def __len__(self) -> int:
         return self._len
@@ -201,9 +204,27 @@ class HistoryBuffer:
             raise ValueError(
                 f"field shape {field.shape} does not match buffer shape {self.field_shape}"
             )
-        window = self._window
-        self._data[self._len % window :: window] = field
+        slot = self._len - self._base
+        if slot == len(self._data):
+            slot = self._compact()
+        self._data[slot] = field
         self._len += 1
+
+    def _compact(self) -> int:
+        """Move the newest ``window - 1`` entries to the front; return the free slot.
+
+        The rows move by ``shift`` slots in chunks of at most ``shift`` rows,
+        so no chunk's source overlaps its destination and NumPy copies each
+        in place, without a temporary.
+        """
+        data = self._data
+        keep = self._window - 1
+        shift = len(data) - keep
+        for lo in range(0, keep, shift):
+            hi = min(lo + shift, keep)
+            data[lo:hi] = data[lo + shift : hi + shift]
+        self._base += shift
+        return keep
 
     def _view(self, lo: int, hi: int, stride: int) -> np.ndarray:
         if not (0 <= lo <= hi < self._len):
@@ -215,7 +236,7 @@ class HistoryBuffer:
                 f"entry {lo} is overwritten; the buffer keeps the newest "
                 f"{self._window} of {self._len}"
             )
-        start = lo % self._window
+        start = lo - self._base
         view = self._data[start : start + hi - lo + 1 : stride]
         view.setflags(write=False)
         return view

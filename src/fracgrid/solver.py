@@ -18,9 +18,10 @@ Besides the contraction a step costs a fixed few passes over one field,
 whatever the strategy: the update scales the contraction's fresh result in
 place and adds ``u * (1 - beta * dt)`` to it, the boundary ring is zeroed,
 the peak |u| is one max and one min, the stencil fills one new field from
-contiguous slices, and the history copies that field into its slot (twice
-in a mirrored ring).  A run's coefficients are built only in the step where
-the run or its span changes; every other step reuses them.
+contiguous slices, and the history copies that field into its slot (a
+compacting window of W entries also moves W - 1 fields once per
+ceil(W / 2) + 1 steps).  A run's coefficients are built only in the step
+where the run or its span changes; every other step reuses them.
 """
 
 from __future__ import annotations

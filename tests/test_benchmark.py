@@ -102,6 +102,24 @@ class TestRunComparison:
         with pytest.raises(ValueError, match="gamma"):
             run_comparison(small_config(), (), (10.0,), (3,))
 
+    def test_runs_keep_only_the_first_and_last_snapshot(self, monkeypatch):
+        real_run = benchmark_mod.run
+        kept = []
+
+        def recording_run(config, **kwargs):
+            result = real_run(config, **kwargs)
+            kept.append([step for step, _ in result.snapshots])
+            return result
+
+        monkeypatch.setattr(benchmark_mod, "run", recording_run)
+        config = small_config(n_steps=30, snapshot_every=None)
+        records = run_comparison(config, (0.5, 0.9), (4.0,), (3,))
+        assert kept == [[0, 30]] * 6
+        default = run_comparison(replace(config, snapshot_every=5), (0.5, 0.9), (4.0,), (3,))
+        assert [replace(r, elapsed_s=0.0) for r in default] == [
+            replace(r, elapsed_s=0.0) for r in records
+        ]
+
     def test_failed_cell_recorded_not_raised(self, monkeypatch):
         real_run = benchmark_mod.run
 

@@ -1,5 +1,7 @@
 """Unit tests for the field container, stencil and stencil history."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -215,28 +217,58 @@ class TestHistoryBuffer:
         buf = HistoryBuffer(2, (100, 100), byte_cap=None)
         assert buf.capacity == 2
 
-    def test_ring_keeps_the_last_window_in_order(self):
-        window = 4
-        buf = HistoryBuffer(30, (3, 3), window=window)
-        for value in range(2 * window + 3):
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 7])
+    def test_ring_keeps_the_last_window_in_order(self, window, monkeypatch):
+        compact = HistoryBuffer._compact
+        compactions = []
+
+        def counted(buffer):
+            compactions.append(len(buffer))
+            return compact(buffer)
+
+        monkeypatch.setattr(HistoryBuffer, "_compact", counted)
+        slots = window + (window + 1) // 2
+        shift = slots - window + 1
+        capacity = slots + 3 * shift + 1
+        buf = HistoryBuffer(capacity, (3, 3), window=window)
+        assert buf.nbytes == slots * 3 * 3 * 8
+        for value in range(capacity):
             buf.append(np.full((3, 3), float(value)))
-        newest = len(buf) - 1
-        lo = newest - window + 1
-        block = buf.block(lo, newest)
-        assert block[:, 0, 0].tolist() == [7.0, 8.0, 9.0, 10.0]
-        run = buf.gather(lo, newest, 3)
-        assert run[:, 0, 0].tolist() == [7.0, 10.0]
-        assert buf.gather(newest, newest, 1)[:, 0, 0].tolist() == [10.0]
+            # every run of the readable window, block or strided, reads in
+            # order, including runs with entries on both sides of a compaction
+            for lo in range(max(0, value - window + 1), value + 1):
+                for hi in range(lo, value + 1):
+                    assert buf.block(lo, hi)[:, 1, 2].tolist() == [
+                        float(v) for v in range(lo, hi + 1)
+                    ]
+                    for stride in range(1, hi - lo + 1):
+                        if (hi - lo) % stride == 0:
+                            assert buf.gather(lo, hi, stride)[:, 0, 0].tolist() == [
+                                float(v) for v in range(lo, hi + 1, stride)
+                            ]
+        assert compactions == [slots + n * shift for n in range(4)]
+        block = buf.block(capacity - window, capacity - 1)
+        run = buf.gather(capacity - window, capacity - 1, 1)
         # views of one buffer, not copies, and read-only
         assert np.shares_memory(block, run)
         assert not block.flags.writeable and not run.flags.writeable
-        # every window position, across the wrap, reads in order
-        for value in range(2 * window + 3, 3 * window + 5):
-            buf.append(np.full((3, 3), float(value)))
-            newest = len(buf) - 1
-            assert buf.block(newest - window + 1, newest)[:, 1, 2].tolist() == [
-                float(v) for v in range(newest - window + 1, newest + 1)
-            ]
+
+    def test_compaction_makes_no_temporary_copy(self):
+        # window 7 keeps 11 slots and moves 6 rows by 5: one copy of all six
+        # would overlap itself, and NumPy would buffer it through a temporary
+        field = np.ones((50, 50))
+        buf = HistoryBuffer(100, field.shape, window=7)
+        for value in range(11):
+            buf.append(field * value)
+        newest = field * 11
+        tracemalloc.start()
+        try:
+            buf.append(newest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < field.nbytes
+        assert buf.block(5, 11)[:, 3, 4].tolist() == [float(v) for v in range(5, 12)]
 
     def test_ring_rejects_overwritten_entries(self):
         buf = HistoryBuffer(30, (3, 3), window=4)
@@ -251,9 +283,12 @@ class TestHistoryBuffer:
             buf.block(0, 0)
         assert buf.block(6, 9)[:, 0, 0].tolist() == [6.0, 7.0, 8.0, 9.0]
 
-    @pytest.mark.parametrize("window,slots", [(4, 8), (5, 10), (6, 11), (11, 11), (40, 11)])
+    @pytest.mark.parametrize(
+        "window,slots", [(4, 6), (5, 8), (6, 9), (7, 11), (11, 11), (40, 11)]
+    )
     def test_allocation_follows_the_window(self, window, slots):
-        # a ring only while 2 * window is fewer slots than the capacity
+        # a compacting window only while window + ceil(window / 2) slots are
+        # fewer than the capacity
         field_bytes = 5 * 7 * 8
         buf = HistoryBuffer(11, (5, 7), window=window)
         assert buf.capacity == 11
@@ -271,11 +306,11 @@ class TestHistoryBuffer:
 
     def test_byte_cap_counts_the_allocated_slots(self):
         field_bytes = 10 * 10 * 8
-        HistoryBuffer(1000, (10, 10), byte_cap=8 * field_bytes, window=4)
+        HistoryBuffer(1000, (10, 10), byte_cap=6 * field_bytes, window=4)
         with pytest.raises(MemoryBudgetError, match="cap"):
-            HistoryBuffer(1000, (10, 10), byte_cap=8 * field_bytes - 1, window=4)
+            HistoryBuffer(1000, (10, 10), byte_cap=6 * field_bytes - 1, window=4)
         with pytest.raises(MemoryBudgetError, match="cap"):
-            HistoryBuffer(1000, (10, 10), byte_cap=8 * field_bytes)
+            HistoryBuffer(1000, (10, 10), byte_cap=6 * field_bytes)
         with pytest.raises(ValueError, match="window"):
             HistoryBuffer(10, (10, 10), window=0)
 

@@ -433,15 +433,16 @@ def _final_over_linear_history(config):
     return u
 
 
-@pytest.mark.parametrize("length", [1.0, 7.0, 40.0])
-def test_short_memory_ring_matches_linear_history_bitwise(length):
+@pytest.mark.parametrize("length,fields", [(1.0, 3), (7.0, 12), (40.0, 62), (250.0, 301)])
+def test_short_memory_ring_matches_linear_history_bitwise(length, fields):
     config = make_config(
         gamma=0.6, nx=9, ny=11, n_steps=300, strategy=ShortMemory(length),
         sources=((4, 5, 10.0), (2, 8, 3.0)),
     )
     result = run(config)
-    # the ring holds 2 (L + 1) fields, not one per step
-    assert result.history_bytes == 2 * (int(length) + 1) * 9 * 11 * 8
+    # W + ceil(W / 2) fields for a window of W = L + 1, not one per step,
+    # unless that is not fewer than the 301 of a linear history
+    assert result.history_bytes == fields * 9 * 11 * 8
     assert result.final.data.tobytes() == _final_over_linear_history(config).tobytes()
 
 
@@ -466,17 +467,17 @@ def test_reach_bounds_every_schedule_of_the_run(memory, dt):
 
 
 def test_memory_cap_counts_the_short_memory_ring():
-    # 1001 fields of 8x8 are 512512 bytes, over the cap; short:5 keeps 12.
+    # 1001 fields of 8x8 are 512512 bytes, over the cap; short:5 keeps 9.
     capped = make_config(n_steps=1000, history_byte_cap=100_000)
     result = run(replace(capped, strategy=ShortMemory(5.0)))
-    assert result.history_bytes == 12 * 8 * 8 * 8
+    assert result.history_bytes == 9 * 8 * 8 * 8
     with pytest.raises(MemoryBudgetError):
         run(capped)
 
 
 def test_short_memory_peak_memory_follows_its_horizon():
-    # 601 history fields of 60x60 would be 17.3 MB; short:10 keeps 22
-    # (0.6 MB), and the ~100 snapshots take about 2.9 MB more.
+    # 601 history fields of 60x60 would be 17.3 MB; short:10 keeps 17
+    # (0.5 MB), and the ~100 snapshots take about 2.9 MB more.
     config = make_config(nx=60, ny=60, n_steps=600, strategy=ShortMemory(10.0))
     tracemalloc.start()
     try:
@@ -517,7 +518,7 @@ def _final_with_parent_expressions(config, slice_stencil):
 
 @pytest.mark.parametrize("memory", ["full", "short:7", "adaptive:3"])
 def test_run_matches_plain_expression_loop_bitwise(memory, slice_stencil):
-    # beta > 0 so the decay factor is not 1; short:7 keeps a mirrored ring.
+    # beta > 0 so the decay factor is not 1; short:7 keeps a compacting window.
     config = make_config(
         gamma=0.6, alpha=15.0, beta=0.01, nx=9, ny=13, n_steps=300,
         strategy=parse_memory_spec(memory), snapshot_every=300,
