@@ -217,8 +217,31 @@ class TestHistoryBuffer:
         buf = HistoryBuffer(2, (100, 100), byte_cap=None)
         assert buf.capacity == 2
 
+    def test_ring_keeps_the_last_window_in_order(self):
+        window = 4
+        buf = HistoryBuffer(30, (3, 3), window=window)
+        for value in range(2 * window + 3):
+            buf.append(np.full((3, 3), float(value)))
+        newest = len(buf) - 1
+        lo = newest - window + 1
+        block = buf.block(lo, newest)
+        assert block[:, 0, 0].tolist() == [7.0, 8.0, 9.0, 10.0]
+        run = buf.gather(lo, newest, 3)
+        assert run[:, 0, 0].tolist() == [7.0, 10.0]
+        assert buf.gather(newest, newest, 1)[:, 0, 0].tolist() == [10.0]
+        # views of one buffer, not copies, and read-only
+        assert np.shares_memory(block, run)
+        assert not block.flags.writeable and not run.flags.writeable
+        # every window position, across compactions, reads in order
+        for value in range(2 * window + 3, 3 * window + 5):
+            buf.append(np.full((3, 3), float(value)))
+            newest = len(buf) - 1
+            assert buf.block(newest - window + 1, newest)[:, 1, 2].tolist() == [
+                float(v) for v in range(newest - window + 1, newest + 1)
+            ]
+
     @pytest.mark.parametrize("window", [1, 2, 3, 4, 7])
-    def test_ring_keeps_the_last_window_in_order(self, window, monkeypatch):
+    def test_every_run_reads_in_order_across_compactions(self, window, monkeypatch):
         compact = HistoryBuffer._compact
         compactions = []
 

@@ -433,7 +433,15 @@ def _final_over_linear_history(config):
     return u
 
 
-@pytest.mark.parametrize("length,fields", [(1.0, 3), (7.0, 12), (40.0, 62), (250.0, 301)])
+@pytest.mark.parametrize(
+    "length,fields",
+    [
+        pytest.param(1.0, 3, id="1.0"),
+        pytest.param(7.0, 12, id="7.0"),
+        pytest.param(40.0, 62, id="40.0"),
+        pytest.param(250.0, 301, id="250.0"),
+    ],
+)
 def test_short_memory_ring_matches_linear_history_bitwise(length, fields):
     config = make_config(
         gamma=0.6, nx=9, ny=11, n_steps=300, strategy=ShortMemory(length),
