@@ -129,21 +129,18 @@ class HistoryBuffer:
 
     ``capacity`` is the number of entries a run may append; the buffer keeps
     the newest ``window`` of them readable (all of them when ``window`` is
-    None).  When ``window + ceil(window / 2)`` slots are fewer than
-    ``capacity``, the buffer is a compacting window of that many slots:
-    entry i sits at slot ``i - base``, and an append that finds every slot
-    used first moves the newest ``window - 1`` entries to the front and
-    advances ``base``.  Any ``window`` consecutive entries therefore sit in
-    consecutive slots, every read is one basic slice, never a copy, and a
-    compaction copies ``window - 1`` fields once per ``ceil(window / 2) + 1``
-    appends.  Short memory of horizon L stores W + ceil(W / 2) fields,
-    W = L/dt + 1, rather than one per step.  Otherwise ``capacity`` slots
-    are allocated and the window is all of them.
+    None).  It allocates ``slots = min(window, capacity)`` fields and keeps
+    entry e in slot ``e mod slots``: short memory of horizon L stores exactly
+    the W = L/dt + 1 fields it can reach, and full and adaptive memory, whose
+    window is the whole run, store one field per step and never wrap.  An
+    append writes one field and moves nothing.
 
-    The allocation is checked against a byte cap before any memory is
-    committed, so appends never reallocate mid-run.  Entries are exposed
-    read-only: the backward summation must see exactly what each step
-    recorded.
+    A run of entries whose slots do not wrap is one basic slice, read in
+    place by :meth:`block` and :meth:`gather`; :meth:`ring` reads a range
+    that fills every slot, in slot order.  The allocation is checked against
+    a byte cap before any memory is committed, so appends never reallocate
+    mid-run.  Entries are exposed read-only: the backward summation must see
+    exactly what each step recorded.
     """
 
     def __init__(
@@ -160,9 +157,7 @@ class HistoryBuffer:
         window = capacity if window is None else int(window)
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        slots = window + (window + 1) // 2
-        if slots >= capacity:
-            slots = window = capacity
+        slots = min(window, capacity)
         nx, ny = int(shape[0]), int(shape[1])
         needed = slots * nx * ny * np.dtype(np.float64).itemsize
         if byte_cap is not None and needed > byte_cap:
@@ -172,9 +167,7 @@ class HistoryBuffer:
             )
         self._data = np.empty((slots, nx, ny), dtype=np.float64)
         self._capacity = capacity
-        self._window = window
         self._len = 0
-        self._base = 0
 
     def __len__(self) -> int:
         return self._len
@@ -183,6 +176,11 @@ class HistoryBuffer:
     def capacity(self) -> int:
         """Number of entries the buffer accepts."""
         return self._capacity
+
+    @property
+    def slots(self) -> int:
+        """Number of fields allocated; entry e sits in slot ``e mod slots``."""
+        return len(self._data)
 
     @property
     def nbytes(self) -> int:
@@ -204,40 +202,29 @@ class HistoryBuffer:
             raise ValueError(
                 f"field shape {field.shape} does not match buffer shape {self.field_shape}"
             )
-        slot = self._len - self._base
-        if slot == len(self._data):
-            slot = self._compact()
-        self._data[slot] = field
+        self._data[self._len % len(self._data)] = field
         self._len += 1
 
-    def _compact(self) -> int:
-        """Move the newest ``window - 1`` entries to the front; return the free slot.
-
-        The rows move by ``shift`` slots in chunks of at most ``shift`` rows,
-        so no chunk's source overlaps its destination and NumPy copies each
-        in place, without a temporary.
-        """
-        data = self._data
-        keep = self._window - 1
-        shift = len(data) - keep
-        for lo in range(0, keep, shift):
-            hi = min(lo + shift, keep)
-            data[lo:hi] = data[lo + shift : hi + shift]
-        self._base += shift
-        return keep
-
-    def _view(self, lo: int, hi: int, stride: int) -> np.ndarray:
+    def _check(self, lo: int, hi: int) -> None:
         if not (0 <= lo <= hi < self._len):
             raise IndexError(
                 f"entries [{lo}, {hi}] out of range; buffer holds {self._len}"
             )
-        if lo < self._len - self._window:
+        if lo < self._len - len(self._data):
             raise IndexError(
                 f"entry {lo} is overwritten; the buffer keeps the newest "
-                f"{self._window} of {self._len}"
+                f"{len(self._data)} of {self._len}"
             )
-        start = lo - self._base
-        view = self._data[start : start + hi - lo + 1 : stride]
+
+    def _view(self, lo: int, hi: int, stride: int) -> np.ndarray:
+        self._check(lo, hi)
+        start = lo % len(self._data)
+        stop = start + hi - lo + 1
+        if stop > len(self._data):
+            raise ValueError(
+                f"entries [{lo}, {hi}] wrap around the ring of {len(self._data)} slots"
+            )
+        view = self._data[start:stop:stride]
         view.setflags(write=False)
         return view
 
@@ -254,3 +241,20 @@ class HistoryBuffer:
         if stride < 1 or (hi - lo) % stride:
             raise ValueError(f"stride {stride} does not divide the run [{lo}, {hi}]")
         return self._view(lo, hi, stride)
+
+    def ring(self, lo: int, hi: int) -> np.ndarray:
+        """Read-only view of every slot, holding entries lo..hi in slot order.
+
+        The range must fill the ring exactly.  Row r holds the entry e of the
+        range with ``e mod slots == r``, so the rows run in cyclic order from
+        the entry of the range that is a multiple of ``slots``.
+        """
+        lo, hi = int(lo), int(hi)
+        self._check(lo, hi)
+        if hi - lo + 1 != len(self._data):
+            raise ValueError(
+                f"entries [{lo}, {hi}] do not fill the ring of {len(self._data)} slots"
+            )
+        view = self._data[:]
+        view.setflags(write=False)
+        return view

@@ -12,15 +12,16 @@ read in place.  A dense run's coefficients are a slice of the psi table kept
 in that order, so no step reverses or copies them.  A schedule that visits
 the contiguous offsets 0..M (full and short memory, and any truncated
 schedule that happens to visit every offset) is one run and one contraction,
-so it reproduces the full-memory result bit for bit.
+in the cyclic order of :func:`history_sum`; that is oldest first whenever
+M = k, so a schedule that visits every offset reproduces the full-memory
+result bit for bit.
 
 Besides the contraction a step costs a fixed few passes over one field,
 whatever the strategy: the update scales the contraction's fresh result in
 place and adds ``u * (1 - beta * dt)`` to it, the boundary ring is zeroed,
 the peak |u| is one max and one min, the stencil fills one new field from
-contiguous slices, and the history copies that field into its slot (a
-compacting window of W entries also moves W - 1 fields once per
-ceil(W / 2) + 1 steps).  A run's coefficients are built only in the step
+contiguous slices, and the history copies that field into its slot (short
+memory's ring of W slots overwrites its oldest one).  A run's coefficients are built only in the step
 where the run or its span changes; every other step reuses them.
 """
 
@@ -267,14 +268,16 @@ def history_sum(
     neighbouring steps it replaces, so a schedule whose cells tile 0..k
     carries the full-memory weight mass.
 
-    ``history`` holds one stencil field per completed step, oldest first, so
-    offset m maps to buffer entry k - m.  Each run of the schedule is one
-    BLAS matrix-vector product of its storage-ordered coefficients with a
-    view of the buffer, read in place as a (count, nx*ny) matrix whose rows
-    are contiguous, and the partial sums are added.  A schedule that is the
-    contiguous block 0..M is a single run read as one block, keeping results
-    independent of strategy wherever the visited offsets coincide.  The sum
-    is a new array, which the caller may overwrite.
+    ``history`` holds one stencil field per completed step, so offset m maps
+    to buffer entry k - m.  Each run of the schedule is one BLAS
+    matrix-vector product of its storage-ordered coefficients with a view of
+    the buffer, read in place as a (count, nx*ny) matrix whose rows are
+    contiguous, and the partial sums are added.  A schedule that is the
+    contiguous block 0..M is a single run, read in the cyclic order of a
+    ring of M + 1 slots whatever the storage (:func:`_window_sum`); that
+    order is oldest first when M = k, keeping results independent of
+    strategy wherever the visited offsets coincide.  The sum is a new array,
+    which the caller may overwrite.
     """
     k = int(k)
     if k < 0 or len(history) <= k:
@@ -289,20 +292,45 @@ def history_sum(
             f"psi table covers offsets up to {table.capacity}, schedule needs {reach}"
         )
     runs = schedule.runs
-    block = len(runs) == 1 and runs[0][0] == 0 and runs[0][2] == 1
+    coefficients = entry_coefficients(schedule, table)
+    if len(runs) == 1 and runs[0][0] == 0 and runs[0][2] == 1:
+        return _window_sum(history, coefficients[0], k)
     total = None
-    for (m, count, stride), coeffs in zip(runs, entry_coefficients(schedule, table)):
+    for (m, count, stride), coeffs in zip(runs, coefficients):
         last = m + (count - 1) * stride
-        if block:
-            view = history.block(k - last, k)
-        else:
-            view = history.gather(k - last, k - m, stride)
+        view = history.gather(k - last, k - m, stride)
         part = coeffs @ view.reshape(count, -1)
         if total is None:
             total = part
         else:
             total += part
     return total.reshape(history.field_shape)
+
+
+def _window_sum(history: HistoryBuffer, coeffs: np.ndarray, k: int) -> np.ndarray:
+    """Contract the dense window of the newest ``len(coeffs)`` entries up to k.
+
+    The window is read in cyclic order: from the entry e0 = k - (k mod c),
+    c = ``len(coeffs)``, up to k, then from the window's oldest entry up to
+    e0 - 1, with the oldest-first coefficients rotated to match.  In a ring
+    of c slots that order is slot order, so the window is one view of the
+    whole ring; any other storage reads the same two pieces and joins them,
+    which gives the same bits.  When the window starts at entry 0 (c = k + 1)
+    e0 is 0 and the order is oldest first.
+    """
+    count = len(coeffs)
+    lo = k - count + 1
+    e0 = k - k % count
+    if e0 == lo:
+        view = history.block(lo, k)
+    else:
+        split = e0 - lo
+        coeffs = np.concatenate((coeffs[split:], coeffs[:split]))
+        if count == history.slots:
+            view = history.ring(lo, k)
+        else:
+            view = np.concatenate((history.block(e0, k), history.block(lo, e0 - 1)))
+    return (coeffs @ view.reshape(count, -1)).reshape(history.field_shape)
 
 
 def step(

@@ -119,9 +119,9 @@ def test_out_dir_is_a_file(tmp_path, capsys):
     assert run_simulate(blocked) == EXIT_IO
 
 
-@pytest.mark.parametrize("memory,fields", [("short:5", 6 + 3), ("full", 40 + 1)])
+@pytest.mark.parametrize("memory,fields", [("short:5", 6), ("full", 40 + 1)])
 def test_manifest_records_history_bytes(tmp_path, memory, fields):
-    # short:5 keeps a compacting window of 6 + 3 fields; full keeps every step.
+    # short:5 keeps a ring of the 6 fields it reaches; full keeps every step.
     out = tmp_path / "x"
     assert run_simulate(out, ["--memory", memory, "--steps", "40"]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())

@@ -220,78 +220,90 @@ class TestHistoryBuffer:
     def test_ring_keeps_the_last_window_in_order(self):
         window = 4
         buf = HistoryBuffer(30, (3, 3), window=window)
-        for value in range(2 * window + 3):
+        for value in range(3 * window):
             buf.append(np.full((3, 3), float(value)))
-        newest = len(buf) - 1
-        lo = newest - window + 1
-        block = buf.block(lo, newest)
-        assert block[:, 0, 0].tolist() == [7.0, 8.0, 9.0, 10.0]
-        run = buf.gather(lo, newest, 3)
-        assert run[:, 0, 0].tolist() == [7.0, 10.0]
-        assert buf.gather(newest, newest, 1)[:, 0, 0].tolist() == [10.0]
+        # after three turns of the ring, entries 8..11 fill slots 0..3
+        block = buf.block(8, 11)
+        assert block[:, 0, 0].tolist() == [8.0, 9.0, 10.0, 11.0]
+        run = buf.gather(8, 11, 3)
+        assert run[:, 0, 0].tolist() == [8.0, 11.0]
+        assert buf.gather(11, 11, 1)[:, 0, 0].tolist() == [11.0]
         # views of one buffer, not copies, and read-only
         assert np.shares_memory(block, run)
+        assert np.shares_memory(block, buf.ring(8, 11))
         assert not block.flags.writeable and not run.flags.writeable
-        # every window position, across compactions, reads in order
-        for value in range(2 * window + 3, 3 * window + 5):
+        # every later window reads whole through the ring, in cyclic order
+        # from its entry that is a multiple of the window; a wrapped block raises
+        for value in range(3 * window, 5 * window + 2):
             buf.append(np.full((3, 3), float(value)))
-            newest = len(buf) - 1
-            assert buf.block(newest - window + 1, newest)[:, 1, 2].tolist() == [
-                float(v) for v in range(newest - window + 1, newest + 1)
+            lo = value - window + 1
+            first = value - value % window
+            assert buf.ring(lo, value)[:, 1, 2].tolist() == [
+                float(v) for v in [*range(first, value + 1), *range(lo, first)]
             ]
+            if first > lo:
+                with pytest.raises(ValueError, match="wrap"):
+                    buf.block(lo, value)
 
     @pytest.mark.parametrize("window", [1, 2, 3, 4, 7])
-    def test_every_run_reads_in_order_across_compactions(self, window, monkeypatch):
-        compact = HistoryBuffer._compact
-        compactions = []
-
-        def counted(buffer):
-            compactions.append(len(buffer))
-            return compact(buffer)
-
-        monkeypatch.setattr(HistoryBuffer, "_compact", counted)
-        slots = window + (window + 1) // 2
-        shift = slots - window + 1
-        capacity = slots + 3 * shift + 1
+    def test_every_run_reads_in_order_across_compactions(self, window):
+        # A full ring overwrites its oldest slot in place of a compaction;
+        # the entries go four times round it.
+        capacity = 4 * window + 1
         buf = HistoryBuffer(capacity, (3, 3), window=window)
-        assert buf.nbytes == slots * 3 * 3 * 8
+        assert buf.nbytes == window * 3 * 3 * 8
+        views = []
         for value in range(capacity):
             buf.append(np.full((3, 3), float(value)))
-            # every run of the readable window, block or strided, reads in
-            # order, including runs with entries on both sides of a compaction
             for lo in range(max(0, value - window + 1), value + 1):
                 for hi in range(lo, value + 1):
-                    assert buf.block(lo, hi)[:, 1, 2].tolist() == [
-                        float(v) for v in range(lo, hi + 1)
-                    ]
-                    for stride in range(1, hi - lo + 1):
-                        if (hi - lo) % stride == 0:
-                            assert buf.gather(lo, hi, stride)[:, 0, 0].tolist() == [
-                                float(v) for v in range(lo, hi + 1, stride)
-                            ]
-        assert compactions == [slots + n * shift for n in range(4)]
-        block = buf.block(capacity - window, capacity - 1)
-        run = buf.gather(capacity - window, capacity - 1, 1)
-        # views of one buffer, not copies, and read-only
-        assert np.shares_memory(block, run)
-        assert not block.flags.writeable and not run.flags.writeable
+                    strides = [s for s in range(1, hi - lo + 1) if (hi - lo) % s == 0]
+                    if lo // window != hi // window:
+                        # the run's slots wrap: no single view holds it
+                        with pytest.raises(ValueError, match="wrap"):
+                            buf.block(lo, hi)
+                        for stride in strides:
+                            with pytest.raises(ValueError, match="wrap"):
+                                buf.gather(lo, hi, stride)
+                        continue
+                    views.append(buf.block(lo, hi))
+                    assert views[-1][:, 1, 2].tolist() == [float(v) for v in range(lo, hi + 1)]
+                    for stride in strides:
+                        views.append(buf.gather(lo, hi, stride))
+                        assert views[-1][:, 0, 0].tolist() == [
+                            float(v) for v in range(lo, hi + 1, stride)
+                        ]
+            if value >= window - 1:
+                lo = value - window + 1
+                ring = buf.ring(lo, value)
+                assert ring[:, 0, 0].tolist() == [
+                    float(v) for v in sorted(range(lo, value + 1), key=lambda e: e % window)
+                ]
+                assert not ring.flags.writeable
+        if window > 1:
+            with pytest.raises(ValueError, match="fill"):
+                buf.ring(capacity - window + 1, capacity - 1)
+        # views of the one buffer, not copies, and read-only
+        assert all(np.shares_memory(view, ring) for view in views)
+        assert not any(view.flags.writeable for view in views)
 
     def test_compaction_makes_no_temporary_copy(self):
-        # window 7 keeps 11 slots and moves 6 rows by 5: one copy of all six
-        # would overlap itself, and NumPy would buffer it through a temporary
-        field = np.ones((50, 50))
-        buf = HistoryBuffer(100, field.shape, window=7)
-        for value in range(11):
-            buf.append(field * value)
-        newest = field * 11
+        # an append into a full ring overwrites the oldest slot in place:
+        # nothing is moved and no field is allocated
+        fields = [np.full((50, 50), float(value)) for value in range(16)]
+        buf = HistoryBuffer(100, (50, 50), window=7)
+        for field in fields[:7]:
+            buf.append(field)
         tracemalloc.start()
         try:
-            buf.append(newest)
+            for field in fields[7:]:
+                buf.append(field)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < field.nbytes
-        assert buf.block(5, 11)[:, 3, 4].tolist() == [float(v) for v in range(5, 12)]
+        assert peak < fields[0].nbytes
+        assert buf.block(14, 15)[:, 3, 4].tolist() == [14.0, 15.0]
+        assert buf.ring(9, 15)[:, 3, 4].tolist() == [14.0, 15.0, 9.0, 10.0, 11.0, 12.0, 13.0]
 
     def test_ring_rejects_overwritten_entries(self):
         buf = HistoryBuffer(30, (3, 3), window=4)
@@ -304,36 +316,35 @@ class TestHistoryBuffer:
             buf.gather(5, 9, 2)
         with pytest.raises(IndexError, match="overwritten"):
             buf.block(0, 0)
-        assert buf.block(6, 9)[:, 0, 0].tolist() == [6.0, 7.0, 8.0, 9.0]
+        with pytest.raises(IndexError, match="overwritten"):
+            buf.ring(5, 8)
+        assert buf.block(8, 9)[:, 0, 0].tolist() == [8.0, 9.0]
 
     @pytest.mark.parametrize(
-        "window,slots", [(4, 6), (5, 8), (6, 9), (7, 11), (11, 11), (40, 11)]
+        "window,slots", [(4, 4), (5, 5), (6, 6), (7, 7), (11, 11), (40, 11)]
     )
     def test_allocation_follows_the_window(self, window, slots):
-        # a compacting window only while window + ceil(window / 2) slots are
-        # fewer than the capacity
+        # a ring of the window's size, or of the capacity if that is smaller
         field_bytes = 5 * 7 * 8
         buf = HistoryBuffer(11, (5, 7), window=window)
         assert buf.capacity == 11
+        assert buf.slots == slots
         assert buf.nbytes == slots * field_bytes
         for value in range(11):
             buf.append(np.full((5, 7), float(value)))
         with pytest.raises(HistoryCapacityError):
             buf.append(np.zeros((5, 7)))
-        if slots == 11:
-            assert buf.block(0, 10)[:, 2, 3].tolist() == [float(v) for v in range(11)]
-        else:
-            assert buf.block(11 - window, 10)[:, 2, 3].tolist() == [
-                float(v) for v in range(11 - window, 11)
-            ]
+        assert buf.ring(11 - slots, 10)[:, 2, 3].tolist() == [
+            float(v) for v in sorted(range(11 - slots, 11), key=lambda e: e % slots)
+        ]
 
     def test_byte_cap_counts_the_allocated_slots(self):
         field_bytes = 10 * 10 * 8
-        HistoryBuffer(1000, (10, 10), byte_cap=6 * field_bytes, window=4)
+        HistoryBuffer(1000, (10, 10), byte_cap=4 * field_bytes, window=4)
         with pytest.raises(MemoryBudgetError, match="cap"):
-            HistoryBuffer(1000, (10, 10), byte_cap=6 * field_bytes - 1, window=4)
+            HistoryBuffer(1000, (10, 10), byte_cap=4 * field_bytes - 1, window=4)
         with pytest.raises(MemoryBudgetError, match="cap"):
-            HistoryBuffer(1000, (10, 10), byte_cap=6 * field_bytes)
+            HistoryBuffer(1000, (10, 10), byte_cap=4 * field_bytes)
         with pytest.raises(ValueError, match="window"):
             HistoryBuffer(10, (10, 10), window=0)
 

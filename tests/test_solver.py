@@ -24,6 +24,7 @@ from fracgrid.schedule import (
     adaptive_schedule,
     full_schedule,
     parse_memory_spec,
+    short_schedule,
 )
 from fracgrid.solver import (
     GROWTH_LIMIT,
@@ -246,6 +247,7 @@ def test_history_sum_matches_manual_loop():
         (30, full_schedule(30)),
         (30, adaptive_schedule(30, 3)),
         (260, adaptive_schedule(260, 4)),  # gaps and overlaps at the joins
+        (260, short_schedule(260, 40.0, 1.0)),  # a window read in cyclic order
     ):
         pairs = sched.pairs()
         manual = np.zeros((5, 5))
@@ -284,15 +286,16 @@ def test_unit_cells_keep_psi_bitwise():
     assert np.array_equal(full[::-1], table.values[:41])
 
 
-# Final fields of full memory and adaptive:3 on a 60x60 grid for 300 steps,
-# written as raw bytes.  Each contraction there multiplies up to 301 x 3600
-# entries, far above the size at which OpenBLAS splits a gemv over threads.
+# Final fields of full memory, adaptive:3 and short:40 on a 60x60 grid for 300
+# steps, written as raw bytes.  Each contraction there multiplies up to
+# 301 x 3600 entries, and short:40's whole-ring read 41 x 3600, above the size
+# at which OpenBLAS splits a gemv over threads.
 _FINAL_FIELDS_SCRIPT = """
 import sys
-from fracgrid.schedule import AdaptiveMemory, FullMemory
+from fracgrid.schedule import AdaptiveMemory, FullMemory, ShortMemory
 from fracgrid.solver import SimulationConfig, run
 
-for strategy in (FullMemory(), AdaptiveMemory(3)):
+for strategy in (FullMemory(), AdaptiveMemory(3), ShortMemory(40)):
     config = SimulationConfig(
         gamma=0.5, alpha=0.15, beta=0.0, dt=1.0, dx=1.0, nx=60, ny=60,
         n_steps=300, sources=((15, 15, 1.0), (30, 40, 2.0), (45, 20, 1.5)),
@@ -316,7 +319,7 @@ def _final_fields_with_threads(threads):
 
 def test_final_fields_do_not_depend_on_blas_threads():
     one = _final_fields_with_threads(1)
-    assert len(one) == 2 * 60 * 60 * 8
+    assert len(one) == 3 * 60 * 60 * 8
     assert one == _final_fields_with_threads(2)
 
 
@@ -434,23 +437,25 @@ def _final_over_linear_history(config):
 
 
 @pytest.mark.parametrize(
-    "length,fields",
+    "length,shape,fields",
     [
-        pytest.param(1.0, 3, id="1.0"),
-        pytest.param(7.0, 12, id="7.0"),
-        pytest.param(40.0, 62, id="40.0"),
-        pytest.param(250.0, 301, id="250.0"),
+        pytest.param(1.0, (9, 11), 2, id="1.0"),
+        pytest.param(7.0, (9, 11), 8, id="7.0"),
+        pytest.param(40.0, (9, 11), 41, id="40.0"),
+        pytest.param(250.0, (9, 11), 251, id="250.0"),
+        # a whole-ring gemv of 41 x 3600, large enough for OpenBLAS threads
+        pytest.param(40.0, (60, 60), 41, id="40.0-60x60"),
     ],
 )
-def test_short_memory_ring_matches_linear_history_bitwise(length, fields):
+def test_short_memory_ring_matches_linear_history_bitwise(length, shape, fields):
+    nx, ny = shape
     config = make_config(
-        gamma=0.6, nx=9, ny=11, n_steps=300, strategy=ShortMemory(length),
+        gamma=0.6, nx=nx, ny=ny, n_steps=300, strategy=ShortMemory(length),
         sources=((4, 5, 10.0), (2, 8, 3.0)),
     )
     result = run(config)
-    # W + ceil(W / 2) fields for a window of W = L + 1, not one per step,
-    # unless that is not fewer than the 301 of a linear history
-    assert result.history_bytes == fields * 9 * 11 * 8
+    # a ring of the W = L + 1 fields the window reaches, not one per step
+    assert result.history_bytes == fields * nx * ny * 8
     assert result.final.data.tobytes() == _final_over_linear_history(config).tobytes()
 
 
@@ -475,16 +480,16 @@ def test_reach_bounds_every_schedule_of_the_run(memory, dt):
 
 
 def test_memory_cap_counts_the_short_memory_ring():
-    # 1001 fields of 8x8 are 512512 bytes, over the cap; short:5 keeps 9.
+    # 1001 fields of 8x8 are 512512 bytes, over the cap; short:5 keeps 6.
     capped = make_config(n_steps=1000, history_byte_cap=100_000)
     result = run(replace(capped, strategy=ShortMemory(5.0)))
-    assert result.history_bytes == 9 * 8 * 8 * 8
+    assert result.history_bytes == 6 * 8 * 8 * 8
     with pytest.raises(MemoryBudgetError):
         run(capped)
 
 
 def test_short_memory_peak_memory_follows_its_horizon():
-    # 601 history fields of 60x60 would be 17.3 MB; short:10 keeps 17
+    # 601 history fields of 60x60 would be 17.3 MB; short:10 keeps 11
     # (0.5 MB), and the ~100 snapshots take about 2.9 MB more.
     config = make_config(nx=60, ny=60, n_steps=600, strategy=ShortMemory(10.0))
     tracemalloc.start()
@@ -526,7 +531,7 @@ def _final_with_parent_expressions(config, slice_stencil):
 
 @pytest.mark.parametrize("memory", ["full", "short:7", "adaptive:3"])
 def test_run_matches_plain_expression_loop_bitwise(memory, slice_stencil):
-    # beta > 0 so the decay factor is not 1; short:7 keeps a compacting window.
+    # beta > 0 so the decay factor is not 1; short:7 keeps a ring of 8 fields.
     config = make_config(
         gamma=0.6, alpha=15.0, beta=0.01, nx=9, ny=13, n_steps=300,
         strategy=parse_memory_spec(memory), snapshot_every=300,
