@@ -218,12 +218,11 @@ class HistoryBuffer:
 
     def _view(self, lo: int, hi: int, stride: int) -> np.ndarray:
         self._check(lo, hi)
-        start = lo % len(self._data)
+        slots = len(self._data)
+        start = lo % slots
         stop = start + hi - lo + 1
-        if stop > len(self._data):
-            raise ValueError(
-                f"entries [{lo}, {hi}] wrap around the ring of {len(self._data)} slots"
-            )
+        if stop > slots:
+            raise ValueError(f"entries [{lo}, {hi}] wrap around the ring of {slots} slots")
         view = self._data[start:stop:stride]
         view.setflags(write=False)
         return view

@@ -21,8 +21,9 @@ whatever the strategy: the update scales the contraction's fresh result in
 place and adds ``u * (1 - beta * dt)`` to it, the boundary ring is zeroed,
 the peak |u| is one max and one min, the stencil fills one new field from
 contiguous slices, and the history copies that field into its slot (short
-memory's ring of W slots overwrites its oldest one).  A run's coefficients are built only in the step
-where the run or its span changes; every other step reuses them.
+memory's ring of W slots overwrites its oldest one).  A run's coefficients
+are built only in the step where the run or its span changes; every other
+step reuses them.
 """
 
 from __future__ import annotations
