@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -77,12 +77,15 @@ class Grid2D:
         data = np.zeros((nx, ny), dtype=np.float64)
         for j, l, value in sources:
             j, l = int(j), int(l)
-            if not (1 <= j <= nx - 2 and 1 <= l <= ny - 2):
-                raise ValueError(
-                    f"source ({j}, {l}) is outside the interior of a {nx}x{ny} grid"
-                )
+            check_interior_source(j, l, nx, ny)
             data[j, l] = float(value)
         return cls(data=data, dx=dx)
+
+
+def check_interior_source(j: int, l: int, nx: int, ny: int) -> None:
+    """Reject a source at (j, l) unless it sits in the interior of an nx x ny grid."""
+    if not (1 <= j <= nx - 2 and 1 <= l <= ny - 2):
+        raise ValueError(f"source ({j}, {l}) is outside the interior of a {nx}x{ny} grid")
 
 
 def stencil(data: np.ndarray) -> np.ndarray:
@@ -129,18 +132,18 @@ class HistoryBuffer:
 
     ``capacity`` is the number of entries a run may append; the buffer keeps
     the newest ``window`` of them readable (all of them when ``window`` is
-    None).  It allocates ``slots = min(window, capacity)`` fields and keeps
-    entry e in slot ``e mod slots``: short memory of horizon L stores exactly
-    the W = L/dt + 1 fields it can reach, and full and adaptive memory, whose
+    None).  It allocates ``min(window, capacity)`` fields and keeps entry e
+    in slot e modulo that count: short memory of horizon L stores exactly the
+    W = L/dt + 1 fields it can reach, and full and adaptive memory, whose
     window is the whole run, store one field per step and never wrap.  An
     append writes one field and moves nothing.
 
-    A run of entries whose slots do not wrap is one basic slice, read in
-    place by :meth:`block` and :meth:`gather`; :meth:`ring` reads a range
-    that fills every slot, in slot order.  The allocation is checked against
-    a byte cap before any memory is committed, so appends never reallocate
-    mid-run.  Entries are exposed read-only: the backward summation must see
-    exactly what each step recorded.
+    :meth:`weighted_sum` contracts the stored fields with a schedule's
+    coefficients.  A run of entries whose slots do not wrap is one basic
+    slice, read in place by :meth:`block` and :meth:`gather`.  The
+    allocation is checked against a byte cap before any memory is committed,
+    so appends never reallocate mid-run.  Entries are exposed read-only: the
+    backward summation must see exactly what each step recorded.
     """
 
     def __init__(
@@ -176,11 +179,6 @@ class HistoryBuffer:
     def capacity(self) -> int:
         """Number of entries the buffer accepts."""
         return self._capacity
-
-    @property
-    def slots(self) -> int:
-        """Number of fields allocated; entry e sits in slot ``e mod slots``."""
-        return len(self._data)
 
     @property
     def nbytes(self) -> int:
@@ -241,19 +239,55 @@ class HistoryBuffer:
             raise ValueError(f"stride {stride} does not divide the run [{lo}, {hi}]")
         return self._view(lo, hi, stride)
 
-    def ring(self, lo: int, hi: int) -> np.ndarray:
-        """Read-only view of every slot, holding entries lo..hi in slot order.
+    def weighted_sum(
+        self,
+        runs: Sequence[tuple[int, int, int]],
+        coefficients: Sequence[np.ndarray],
+        k: int,
+    ) -> np.ndarray:
+        """Sum of c * entry[k - m] over the runs' offsets m, as a new field.
 
-        The range must fill the ring exactly.  Row r holds the entry e of the
-        range with ``e mod slots == r``, so the rows run in cyclic order from
-        the entry of the range that is a multiple of ``slots``.
+        Run ``(m, count, stride)`` holds the offsets m, m + stride, ..., and
+        ``coefficients`` one array per run, oldest entry (largest offset)
+        first, which is the order the entries are stored in.  Each run is one
+        matrix-vector product of its coefficients with a view of the buffer,
+        read in place as a (count, nx*ny) matrix whose rows are contiguous; a
+        one-entry run is a scalar multiply.  The partial sums are added in
+        run order.
+
+        A single dense run from offset 0, the newest c = count entries, is
+        read in cyclic order: from entry e0 = k - (k mod c) up to k, then
+        from the window's oldest entry up to e0 - 1, with the coefficients
+        rotated to match.  In a ring of c slots that order is slot order, so
+        the window is one view of the whole ring; other storage reads the
+        same two pieces and joins them, which gives the same bits.  When the
+        window starts at entry 0, e0 is 0 and the order is oldest first, so a
+        schedule that visits every offset reproduces full memory bit for bit.
         """
-        lo, hi = int(lo), int(hi)
-        self._check(lo, hi)
-        if hi - lo + 1 != len(self._data):
-            raise ValueError(
-                f"entries [{lo}, {hi}] do not fill the ring of {len(self._data)} slots"
-            )
-        view = self._data[:]
-        view.setflags(write=False)
-        return view
+        if len(runs) == 1 and runs[0][0] == 0 and runs[0][2] == 1:
+            coeffs = coefficients[0]
+            count = len(coeffs)
+            lo = k - count + 1
+            e0 = k - k % count
+            if e0 == lo:
+                view = self.block(lo, k)
+            else:
+                split = e0 - lo
+                coeffs = np.concatenate((coeffs[split:], coeffs[:split]))
+                if count == len(self._data):
+                    self._check(lo, k)
+                    view = self._data
+                else:
+                    view = np.concatenate((self.block(e0, k), self.block(lo, e0 - 1)))
+            return (coeffs @ view.reshape(count, -1)).reshape(self.field_shape)
+        total = None
+        for (m, count, stride), coeffs in zip(runs, coefficients):
+            last = m + (count - 1) * stride
+            rows = self.gather(k - last, k - m, stride).reshape(count, -1)
+            # A one-entry matmul leaves BLAS for NumPy's generic loop.
+            part = rows[0] * coeffs[0] if count == 1 else coeffs @ rows
+            if total is None:
+                total = part
+            else:
+                total += part
+        return total.reshape(self.field_shape)

@@ -5,25 +5,23 @@ Each step advances the field by
     u_next = u * (1 - beta * dt) + alpha * dt**gamma / dx**2 * S_k
 
 where S_k is the weighted backward sum of stored stencil fields dictated by
-the active memory schedule.  The sum contracts each arithmetic run of the
-schedule with one BLAS matrix-vector product: the run's coefficients, stored
-oldest first like the history itself, times a strided view of the history
-read in place.  A dense run's coefficients are a slice of the psi table kept
-in that order, so no step reverses or copies them.  A schedule that visits
-the contiguous offsets 0..M (full and short memory, and any truncated
-schedule that happens to visit every offset) is one run and one contraction,
-in the cyclic order of :func:`history_sum`; that is oldest first whenever
-M = k, so a schedule that visits every offset reproduces the full-memory
-result bit for bit.
+the active memory schedule.  The solver turns each run of the schedule into
+its coefficients (:func:`entry_coefficients`), stored oldest first like the
+history itself, and :meth:`HistoryBuffer.weighted_sum` contracts them with
+the stored fields.  A dense run's coefficients are a slice of the psi table
+kept in that order, so no step reverses or copies them, and a schedule that
+visits every offset reproduces the full-memory result bit for bit.
 
 Besides the contraction a step costs a fixed few passes over one field,
 whatever the strategy: the update scales the contraction's fresh result in
-place and adds ``u * (1 - beta * dt)`` to it, the boundary ring is zeroed,
-the peak |u| is one max and one min, the stencil fills one new field from
-contiguous slices, and the history copies that field into its slot (short
-memory's ring of W slots overwrites its oldest one).  A run's coefficients
-are built only in the step where the run or its span changes; every other
-step reuses them.
+place and adds ``u * (1 - beta * dt)`` to it, the peak |u| is one max and
+one min, the stencil fills one new field, and the history copies that field
+in.  The new field's boundary ring takes no pass of its own: every stored
+stencil field has a +0 ring and every schedule weighs offset 0 by
+psi(0) = 1, so the sum's ring adds that +0 to other zeros and is +0, and
+scaling it by a ratio >= 0 and adding ``u`` keeps it +0.  A run's
+coefficients are built only in the step where the run or its span changes;
+every other step reuses them.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from .grid import (
     DEFAULT_HISTORY_BYTE_CAP,
     Grid2D,
     HistoryBuffer,
+    check_interior_source,
     stencil,
 )
 from .schedule import FullMemory, MemorySchedule, MemoryStrategy
@@ -151,11 +150,7 @@ class SimulationConfig:
             )
         seen: set[tuple[int, int]] = set()
         for j, l, value in self.sources:
-            if not (1 <= j <= self.nx - 2 and 1 <= l <= self.ny - 2):
-                raise ValueError(
-                    f"source ({j}, {l}) is outside the interior of a "
-                    f"{self.nx}x{self.ny} grid"
-                )
+            check_interior_source(j, l, self.nx, self.ny)
             if not math.isfinite(value):
                 raise ValueError(f"source ({j}, {l}) has non-finite value {value!r}")
             if (j, l) in seen:
@@ -270,15 +265,8 @@ def history_sum(
     carries the full-memory weight mass.
 
     ``history`` holds one stencil field per completed step, so offset m maps
-    to buffer entry k - m.  Each run of the schedule is one BLAS
-    matrix-vector product of its storage-ordered coefficients with a view of
-    the buffer, read in place as a (count, nx*ny) matrix whose rows are
-    contiguous, and the partial sums are added.  A schedule that is the
-    contiguous block 0..M is a single run, read in the cyclic order of a
-    ring of M + 1 slots whatever the storage (:func:`_window_sum`); that
-    order is oldest first when M = k, keeping results independent of
-    strategy wherever the visited offsets coincide.  The sum is a new array,
-    which the caller may overwrite.
+    to buffer entry k - m; :meth:`HistoryBuffer.weighted_sum` contracts the
+    runs.  The sum is a new array, which the caller may overwrite.
     """
     k = int(k)
     if k < 0 or len(history) <= k:
@@ -292,46 +280,7 @@ def history_sum(
         raise ValueError(
             f"psi table covers offsets up to {table.capacity}, schedule needs {reach}"
         )
-    runs = schedule.runs
-    coefficients = entry_coefficients(schedule, table)
-    if len(runs) == 1 and runs[0][0] == 0 and runs[0][2] == 1:
-        return _window_sum(history, coefficients[0], k)
-    total = None
-    for (m, count, stride), coeffs in zip(runs, coefficients):
-        last = m + (count - 1) * stride
-        view = history.gather(k - last, k - m, stride)
-        part = coeffs @ view.reshape(count, -1)
-        if total is None:
-            total = part
-        else:
-            total += part
-    return total.reshape(history.field_shape)
-
-
-def _window_sum(history: HistoryBuffer, coeffs: np.ndarray, k: int) -> np.ndarray:
-    """Contract the dense window of the newest ``len(coeffs)`` entries up to k.
-
-    The window is read in cyclic order: from the entry e0 = k - (k mod c),
-    c = ``len(coeffs)``, up to k, then from the window's oldest entry up to
-    e0 - 1, with the oldest-first coefficients rotated to match.  In a ring
-    of c slots that order is slot order, so the window is one view of the
-    whole ring; any other storage reads the same two pieces and joins them,
-    which gives the same bits.  When the window starts at entry 0 (c = k + 1)
-    e0 is 0 and the order is oldest first.
-    """
-    count = len(coeffs)
-    lo = k - count + 1
-    e0 = k - k % count
-    if e0 == lo:
-        view = history.block(lo, k)
-    else:
-        split = e0 - lo
-        coeffs = np.concatenate((coeffs[split:], coeffs[:split]))
-        if count == history.slots:
-            view = history.ring(lo, k)
-        else:
-            view = np.concatenate((history.block(e0, k), history.block(lo, e0 - 1)))
-    return (coeffs @ view.reshape(count, -1)).reshape(history.field_shape)
+    return history.weighted_sum(schedule.runs, entry_coefficients(schedule, table), k)
 
 
 def step(
@@ -345,8 +294,9 @@ def step(
     """Advance the field from step k to k+1 and record the new stencil field.
 
     Requires ``history`` to hold entries for steps 0..k already.  Returns the
-    new field, computed in place in the history sum's result; raises :class:`DivergenceError` if its peak |u|
-    is above ``bound`` or not finite (the bad field is not recorded).
+    new field, computed in place in the history sum's result, whose boundary
+    ring is +0 as the sum's is; raises :class:`DivergenceError` if its peak
+    |u| is above ``bound`` or not finite (the bad field is not recorded).
     """
     schedule = config.strategy.schedule_at(k, config.dt)
     nxt = history_sum(history, schedule, table, k)
@@ -356,8 +306,6 @@ def step(
     # u * 1.0 is u, so the product is skipped when there is no decay.
     nxt *= diffuse
     nxt += u if decay == 1.0 else u * decay
-    nxt[:: nxt.shape[0] - 1] = 0.0
-    nxt[:, :: nxt.shape[1] - 1] = 0.0
     # max |u| without an |u| array; a nan in nxt makes both reductions nan.
     peak = max(float(nxt.max()), -float(nxt.min()))
     # Also true for inf and nan.

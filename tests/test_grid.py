@@ -14,6 +14,28 @@ from fracgrid.grid import (
     slice_profile,
     stencil,
 )
+from fracgrid.schedule import adaptive_schedule
+
+
+def _window_in_cyclic_order(entries, coeffs, k):
+    """The newest ``len(coeffs)`` entries up to k, weighted oldest first and
+    contracted from entry k - (k mod c) up to k, then from the oldest on."""
+    count = len(coeffs)
+    lo = k - count + 1
+    first = k - k % count
+    order = [*range(first, k + 1), *range(lo, first)]
+    rows = np.stack([entries[e] for e in order]).reshape(count, -1)
+    return (coeffs[np.subtract(order, lo)] @ rows).reshape(entries[0].shape)
+
+
+def _window_sum(buf, coeffs, k):
+    return buf.weighted_sum(((0, len(coeffs), 1),), [coeffs], k)
+
+
+def _picked_entries(buf, count, k, cell):
+    """The value at ``cell`` of each entry of the newest-``count`` window,
+    oldest first, picked out by one-hot weights."""
+    return [_window_sum(buf, row, k)[cell] for row in np.eye(count)]
 
 
 def test_stencil_point_source():
@@ -107,7 +129,7 @@ def test_from_sources_placement():
 
 
 def test_from_sources_rejects_boundary():
-    with pytest.raises(ValueError, match="interior"):
+    with pytest.raises(ValueError, match=r"^source \(0, 2\) is outside the interior of a 5x5 grid$"):
         Grid2D.from_sources(5, 5, 1.0, [(0, 2, 1.0)])
     with pytest.raises(ValueError, match="interior"):
         Grid2D.from_sources(5, 5, 1.0, [(2, 4, 1.0)])
@@ -230,18 +252,16 @@ class TestHistoryBuffer:
         assert buf.gather(11, 11, 1)[:, 0, 0].tolist() == [11.0]
         # views of one buffer, not copies, and read-only
         assert np.shares_memory(block, run)
-        assert np.shares_memory(block, buf.ring(8, 11))
         assert not block.flags.writeable and not run.flags.writeable
-        # every later window reads whole through the ring, in cyclic order
-        # from its entry that is a multiple of the window; a wrapped block raises
+        # every later window is summed whole, each entry with its own weight;
+        # a wrapped block raises
         for value in range(3 * window, 5 * window + 2):
             buf.append(np.full((3, 3), float(value)))
             lo = value - window + 1
-            first = value - value % window
-            assert buf.ring(lo, value)[:, 1, 2].tolist() == [
-                float(v) for v in [*range(first, value + 1), *range(lo, first)]
+            assert _picked_entries(buf, window, value, (1, 2)) == [
+                float(v) for v in range(lo, value + 1)
             ]
-            if first > lo:
+            if value % window != window - 1:
                 with pytest.raises(ValueError, match="wrap"):
                     buf.block(lo, value)
 
@@ -273,18 +293,16 @@ class TestHistoryBuffer:
                         assert views[-1][:, 0, 0].tolist() == [
                             float(v) for v in range(lo, hi + 1, stride)
                         ]
+            if value % window == window - 1:
+                # entries value - window + 1 .. value fill slots 0 .. window - 1
+                whole = buf.block(value - window + 1, value)
             if value >= window - 1:
                 lo = value - window + 1
-                ring = buf.ring(lo, value)
-                assert ring[:, 0, 0].tolist() == [
-                    float(v) for v in sorted(range(lo, value + 1), key=lambda e: e % window)
+                assert _picked_entries(buf, window, value, (0, 0)) == [
+                    float(v) for v in range(lo, value + 1)
                 ]
-                assert not ring.flags.writeable
-        if window > 1:
-            with pytest.raises(ValueError, match="fill"):
-                buf.ring(capacity - window + 1, capacity - 1)
         # views of the one buffer, not copies, and read-only
-        assert all(np.shares_memory(view, ring) for view in views)
+        assert all(np.shares_memory(view, whole) for view in views)
         assert not any(view.flags.writeable for view in views)
 
     def test_compaction_makes_no_temporary_copy(self):
@@ -303,7 +321,7 @@ class TestHistoryBuffer:
             tracemalloc.stop()
         assert peak < fields[0].nbytes
         assert buf.block(14, 15)[:, 3, 4].tolist() == [14.0, 15.0]
-        assert buf.ring(9, 15)[:, 3, 4].tolist() == [14.0, 15.0, 9.0, 10.0, 11.0, 12.0, 13.0]
+        assert _picked_entries(buf, 7, 15, (3, 4)) == [float(v) for v in range(9, 16)]
 
     def test_ring_rejects_overwritten_entries(self):
         buf = HistoryBuffer(30, (3, 3), window=4)
@@ -316,9 +334,81 @@ class TestHistoryBuffer:
             buf.gather(5, 9, 2)
         with pytest.raises(IndexError, match="overwritten"):
             buf.block(0, 0)
+        # a window of four ending at 8 would read the whole ring from entry 5
         with pytest.raises(IndexError, match="overwritten"):
-            buf.ring(5, 8)
+            _window_sum(buf, np.ones(4), 8)
         assert buf.block(8, 9)[:, 0, 0].tolist() == [8.0, 9.0]
+
+    @pytest.mark.parametrize("storage", ["ring", "linear"])
+    @pytest.mark.parametrize("window", [1, 2, 3, 5, 8])
+    def test_window_sum_matches_cyclic_order_bitwise(self, window, storage):
+        # At every k mod W: a ring of W slots is read as one view of all its
+        # slots (or one block), linear storage as one block or two joined
+        # blocks; both must give the cyclic-order sum bit for bit.
+        rng = np.random.default_rng(100 + window)
+        capacity = 4 * window + 3
+        buf = HistoryBuffer(
+            capacity, (6, 7), window=window if storage == "ring" else None
+        )
+        entries = []
+        for k in range(capacity):
+            entries.append(rng.standard_normal((6, 7)) * 10.0 ** rng.integers(-5, 5))
+            buf.append(entries[-1])
+            count = min(window, k + 1)
+            coeffs = rng.standard_normal(count)
+            assert _window_sum(buf, coeffs, k).tobytes() == (
+                _window_in_cyclic_order(entries, coeffs, k).tobytes()
+            )
+
+    @pytest.mark.parametrize("base", [3, 5])
+    def test_thinned_runs_sum_run_by_run_bitwise(self, base):
+        # Each run contracts with a matmul and the parts add in run order; a
+        # one-entry run is a scalar multiply instead, which the reference
+        # below does not take.  c * -0 is -0 where the generic loop's
+        # 0 + c * -0 is +0, but the dense head run from offset 0 adds +0
+        # first, so every zero of the sum still comes out +0.
+        rng = np.random.default_rng(base)
+        k_max = 120
+        buf = HistoryBuffer(k_max + 1, (5, 6))
+        entries = []
+        one_entry_runs = 0
+        for k in range(k_max + 1):
+            field = rng.standard_normal((5, 6))
+            field[0, :] = -0.0
+            field[:, 0] = 0.0 if k % 2 else -0.0
+            entries.append(field)
+            buf.append(field)
+            runs = adaptive_schedule(k, base).runs
+            if len(runs) == 1:
+                continue
+            coefficients = [rng.standard_normal(count) for _, count, _ in runs]
+            expected = np.zeros(30)
+            for (m, count, stride), coeffs in zip(runs, coefficients):
+                oldest_first = range(k - m - (count - 1) * stride, k - m + 1, stride)
+                rows = np.stack([entries[e] for e in oldest_first]).reshape(count, -1)
+                part = coeffs @ rows
+                expected = part if m == 0 else expected + part
+                one_entry_runs += count == 1
+            total = buf.weighted_sum(runs, coefficients, k)
+            assert total.tobytes() == expected.reshape(5, 6).tobytes()
+            assert not np.signbit(total[0, :]).any()
+        assert one_entry_runs > 10
+
+    def test_weighted_sum_reports_wrapped_and_overwritten_runs(self):
+        buf = HistoryBuffer(30, (3, 3), window=4)
+        for value in range(10):
+            buf.append(np.full((3, 3), float(value)))
+        # offsets 0, 1, 3 at k = 9 read entries 6 and 8 as one run, whose
+        # slots 2 and 0 wrap; offset 5 reads entry 4, which is overwritten
+        with pytest.raises(ValueError, match="wrap"):
+            buf.weighted_sum(((0, 1, 1), (1, 2, 2)), [np.ones(1), np.ones(2)], 9)
+        with pytest.raises(IndexError, match="overwritten"):
+            buf.weighted_sum(((0, 2, 1), (3, 2, 2)), [np.ones(2), np.ones(2)], 9)
+        # a dense window longer than the ring reaches overwritten entries
+        with pytest.raises(IndexError, match="overwritten"):
+            _window_sum(buf, np.ones(5), 9)
+        with pytest.raises(IndexError, match="out of range"):
+            _window_sum(buf, np.ones(2), 10)
 
     @pytest.mark.parametrize(
         "window,slots", [(4, 4), (5, 5), (6, 6), (7, 7), (11, 11), (40, 11)]
@@ -328,15 +418,12 @@ class TestHistoryBuffer:
         field_bytes = 5 * 7 * 8
         buf = HistoryBuffer(11, (5, 7), window=window)
         assert buf.capacity == 11
-        assert buf.slots == slots
         assert buf.nbytes == slots * field_bytes
         for value in range(11):
             buf.append(np.full((5, 7), float(value)))
         with pytest.raises(HistoryCapacityError):
             buf.append(np.zeros((5, 7)))
-        assert buf.ring(11 - slots, 10)[:, 2, 3].tolist() == [
-            float(v) for v in sorted(range(11 - slots, 11), key=lambda e: e % slots)
-        ]
+        assert _picked_entries(buf, slots, 10, (2, 3)) == [float(v) for v in range(11 - slots, 11)]
 
     def test_byte_cap_counts_the_allocated_slots(self):
         field_bytes = 10 * 10 * 8

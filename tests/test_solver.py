@@ -77,7 +77,7 @@ class TestConfigValidation:
             make_config(snapshot_every=0)
 
     def test_source_validation(self):
-        with pytest.raises(ValueError, match="interior"):
+        with pytest.raises(ValueError, match=r"^source \(0, 4\) is outside the interior of a 8x8 grid$"):
             make_config(sources=((0, 4, 1.0),))
         with pytest.raises(ValueError, match="duplicate"):
             make_config(sources=((4, 4, 1.0), (4, 4, 2.0)))
@@ -540,6 +540,35 @@ def test_run_matches_plain_expression_loop_bitwise(memory, slice_stencil):
     assert 1.0 - config.beta * config.dt != 1.0
     expected = _final_with_parent_expressions(config, slice_stencil)
     assert run(config).final.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.5])
+@pytest.mark.parametrize("memory", ["full", "short:7", "adaptive:3"])
+def test_step_leaves_the_boundary_ring_at_positive_zero(memory, beta):
+    # step() writes nothing to the new field's ring: the sum's ring adds
+    # psi(0) times the newest stencil field's +0 ring to other zeros, and the
+    # update keeps it +0, also where beta * dt = 1.5 makes the decay negative
+    # (u's +0 ring times -0.5 is -0, and +0 + -0 is +0).  Over 300 steps
+    # adaptive:3 contracts one-entry runs, whose c * +0 is -0 where c < 0.
+    config = make_config(
+        gamma=0.6, beta=beta, nx=9, ny=13, n_steps=300,
+        strategy=parse_memory_spec(memory),
+        sources=((4, 6, 10.0), (2, 9, 3.0), (7, 2, 1.5)),
+    )
+    table = build_table(config.gamma, config.n_steps)
+    u = config.initial_grid().data.copy()
+    history = HistoryBuffer(
+        config.n_steps + 1, u.shape,
+        window=config.strategy.reach(config.n_steps, config.dt) + 1,
+    )
+    history.append(stencil(u))
+    bound = GROWTH_LIMIT * float(np.abs(u).max())
+    zeros = np.zeros(2 * (9 + 13) - 4).tobytes()
+    for k in range(config.n_steps):
+        u = step(u, history, k, config, table, bound)
+        ring = np.concatenate((u[[0, -1], :].ravel(), u[1:-1, [0, -1]].ravel()))
+        assert ring.tobytes() == zeros, k
+    assert np.abs(u).max() > 0.0
 
 
 @pytest.mark.parametrize("memory", ["short:5", "adaptive:3", "full"])
