@@ -80,8 +80,7 @@ def run_comparison(
     each entry of ``gammas`` in turn.  A run that diverges produces a record
     with NaN errors and the failure message instead of aborting the sweep.
     Records come back sorted by (gamma, strategy name, parameter).  Only
-    final fields are scored, so every run keeps just its first and last
-    snapshot, whatever ``base_config.snapshot_every`` says.
+    final fields are scored, so no run is given a snapshot sink.
     """
     if not isinstance(base_config.strategy, FullMemory):
         raise ValueError("comparison reference must use the full-memory strategy")
@@ -96,9 +95,7 @@ def run_comparison(
     ]
     records: list[BenchmarkRecord] = []
     for gamma in gammas:
-        ref_config = replace(
-            base_config, gamma=float(gamma), snapshot_every=max(1, base_config.n_steps)
-        )
+        ref_config = replace(base_config, gamma=float(gamma))
         reference, ref_elapsed = _timed_run(ref_config, repeats)
         records.append(
             BenchmarkRecord(
@@ -154,13 +151,15 @@ def source_cell(config: SimulationConfig) -> tuple[int, int]:
 
 
 def profile_and_trace(
-    result: SimulationResult, cell: tuple[int, int]
+    final: Grid2D, cell: tuple[int, int], trace: list[tuple[int, float]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Final profile through ``cell``'s row, snapshot steps, cell value at each."""
-    j, l = cell
-    steps = np.array([s for s, _ in result.snapshots], dtype=np.int64)
-    values = np.array([grid.data[j, l] for _, grid in result.snapshots], dtype=np.float64)
-    return slice_profile(result.final, l), steps, values
+    """Final profile through ``cell``'s row, and the steps and values of its trace.
+
+    ``trace`` holds ``(step, value)`` of the cell at each snapshot step.
+    """
+    steps = np.array([step for step, _ in trace], dtype=np.int64)
+    values = np.array([value for _, value in trace], dtype=np.float64)
+    return slice_profile(final, cell[1]), steps, values
 
 
 def gamma_sweep(
@@ -170,7 +169,8 @@ def gamma_sweep(
     """Run the same full-memory configuration across several gammas.
 
     For each gamma this records the final-state profile along the row through
-    the traced cell and that cell's concentration at every snapshot step.
+    the traced cell and that cell's concentration at every snapshot step;
+    a run keeps no snapshot field, only that cell's values.
     """
     if not isinstance(base_config.strategy, FullMemory):
         raise ValueError("gamma sweeps use the full-memory strategy")
@@ -179,6 +179,12 @@ def gamma_sweep(
     cell = source_cell(base_config)
     entries: list[GammaSweepEntry] = []
     for gamma in gammas:
-        result = run(replace(base_config, gamma=float(gamma)))
-        entries.append(GammaSweepEntry(float(gamma), *profile_and_trace(result, cell)))
+        trace: list[tuple[int, float]] = []
+        result = run(
+            replace(base_config, gamma=float(gamma)),
+            on_snapshot=lambda step, field: trace.append((step, field[cell])),
+        )
+        entries.append(
+            GammaSweepEntry(float(gamma), *profile_and_trace(result.final, cell, trace))
+        )
     return entries

@@ -208,19 +208,26 @@ def _progress_every(n_steps: int, verbose: bool) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config, _ = _resolve_simulation(args)
     out = _Artifacts(args)
-    result = run(config, progress_every=_progress_every(config.n_steps, args.verbose))
+    # The fields are written after the run, once its history is freed.
+    snapshots: list[tuple[int, np.ndarray]] = []
+    result = run(
+        config,
+        progress_every=_progress_every(config.n_steps, args.verbose),
+        on_snapshot=lambda step_no, field: snapshots.append((step_no, field)),
+    )
 
     j, l = source_cell(config)
-    profile, steps, values = profile_and_trace(result, (j, l))
+    trace = [(step_no, field[j, l]) for step_no, field in snapshots]
+    profile, steps, values = profile_and_trace(result.final, (j, l), trace)
     write_grid_csv(result.final, out.path("grid_final.csv"))
     write_profile_csv(profile, out.path("profile.csv"))
     write_trace_csv(steps, values, out.path("trace.csv"))
 
     snap_dir = os.path.join(args.out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
-    for step_no, grid in result.snapshots:
+    for step_no, field in snapshots:
         name = os.path.join("snapshots", f"step_{step_no:06d}.csv")
-        write_grid_csv(grid, out.path(name))
+        write_grid_csv(field, out.path(name))
 
     x = np.arange(config.nx, dtype=np.float64) * config.dx
     write_line_plot(

@@ -22,6 +22,11 @@ psi(0) = 1, so the sum's ring adds that +0 to other zeros and is +0, and
 scaling it by a ratio >= 0 and adding ``u`` keeps it +0.  A run's
 coefficients are built only in the step where the run or its span changes;
 every other step reuses them.
+
+A run holds its history, the field it advances and a step's few working
+fields.  Snapshots go to the caller: ``run`` hands each one, uncopied, to
+an ``on_snapshot`` sink, called inside the timed stepping loop, and keeps
+none itself.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -112,7 +118,8 @@ class SimulationConfig:
     strategy : memory strategy
         Which history offsets each step visits (full / short / adaptive).
     snapshot_every : int or None
-        Snapshot cadence in steps; None picks ~100 snapshots per run.
+        Steps between the calls of :func:`run`'s ``on_snapshot`` sink; None
+        picks ~100 calls per run.
     history_byte_cap : int or None
         Ceiling on the stencil-history allocation; None disables the check.
     """
@@ -172,7 +179,7 @@ class SimulationConfig:
 
     @property
     def snapshot_cadence(self) -> int:
-        """Steps between snapshots (about 100 per run unless pinned)."""
+        """Steps between snapshot sink calls (about 100 per run unless pinned)."""
         if self.snapshot_every is not None:
             return self.snapshot_every
         return max(1, math.ceil(self.n_steps / 100))
@@ -183,10 +190,9 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Snapshots, final state, stepping-loop wall time and history bytes of one run."""
+    """Final state, stepping-loop wall time and history bytes of one run."""
 
     config: SimulationConfig
-    snapshots: tuple[tuple[int, Grid2D], ...]
     final: Grid2D
     elapsed_seconds: float
     history_bytes: int
@@ -318,12 +324,20 @@ def step(
     return nxt
 
 
-def run(config: SimulationConfig, *, progress_every: int = 0) -> SimulationResult:
+def run(
+    config: SimulationConfig,
+    *,
+    progress_every: int = 0,
+    on_snapshot: Callable[[int, np.ndarray], object] | None = None,
+) -> SimulationResult:
     """Run a complete simulation from the configured initial grid.
 
-    Snapshots are taken at step 0, every ``snapshot_cadence`` steps, and at
-    the final step.  ``progress_every`` > 0 logs a progress line every that
-    many steps.  The reported wall time covers only the stepping loop.
+    ``on_snapshot(step, field)``, if given, is called at step 0, every
+    ``snapshot_cadence`` steps and at the final step, once each, with the
+    field just computed: read-only, not copied and not kept by the run; the
+    last one is ``result.final.data``.  ``progress_every`` > 0 logs a
+    progress line every that many steps.  The reported wall time covers only
+    the stepping loop, sink calls included.
     A step whose peak |u| is not finite or exceeds ``GROWTH_LIMIT`` times the
     initial peak raises :class:`DivergenceError`.
     """
@@ -337,29 +351,31 @@ def run(config: SimulationConfig, *, progress_every: int = 0) -> SimulationResul
         window=config.strategy.reach(config.n_steps, config.dt) + 1,
     )
     table = build_table(config.gamma, config.n_steps)
-    u = config.initial_grid().data.copy()
+    # Read-only from the start: no step writes to the field it advances.
+    u = config.initial_grid().data
     history.append(stencil(u))
     bound = GROWTH_LIMIT * float(np.abs(u).max())
-    snapshots: list[tuple[int, Grid2D]] = [(0, Grid2D(u.copy(), config.dx))]
     cadence = config.snapshot_cadence
 
     start = time.perf_counter()
+    if on_snapshot is not None:
+        on_snapshot(0, u)
     # A blow-up overflows to inf (or inf - inf to nan) before it is caught;
     # step() reports it as a DivergenceError, not as a NumPy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.n_steps):
             u = step(u, history, k, config, table, bound)
             done = k + 1
-            if done % cadence == 0 or done == config.n_steps:
-                snapshots.append((done, Grid2D(u.copy(), config.dx)))
+            if on_snapshot is not None and (done % cadence == 0 or done == config.n_steps):
+                u.setflags(write=False)
+                on_snapshot(done, u)
             if progress_every > 0 and done % progress_every == 0:
                 log.info("step %d/%d", done, config.n_steps)
     elapsed = time.perf_counter() - start
 
     return SimulationResult(
         config=config,
-        snapshots=tuple(snapshots),
-        final=snapshots[-1][1],
+        final=Grid2D(u, config.dx),
         elapsed_seconds=elapsed,
         history_bytes=history.nbytes,
     )

@@ -412,8 +412,9 @@ def test_criterion_7_conservation_and_decay():
         sources=((20, 20, 10.0),),
         snapshot_every=1,
     )
-    result = run(config)
-    masses = [float(g.data[1:-1, 1:-1].sum()) for _, g in result.snapshots]
+    fields = []
+    run(config, on_snapshot=lambda _, field: fields.append(field))
+    masses = [float(f[1:-1, 1:-1].sum()) for f in fields]
     drift = max(abs(m - masses[0]) for m in masses) / abs(masses[0])
 
     decay_config = SimulationConfig(

@@ -1,5 +1,6 @@
 """Unit tests for the strategy comparison and gamma sweep."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -102,19 +103,18 @@ class TestRunComparison:
         with pytest.raises(ValueError, match="gamma"):
             run_comparison(small_config(), (), (10.0,), (3,))
 
-    def test_runs_keep_only_the_first_and_last_snapshot(self, monkeypatch):
+    def test_comparison_keeps_no_snapshot(self, monkeypatch):
         real_run = benchmark_mod.run
-        kept = []
+        sinks = []
 
         def recording_run(config, **kwargs):
-            result = real_run(config, **kwargs)
-            kept.append([step for step, _ in result.snapshots])
-            return result
+            sinks.append(kwargs.get("on_snapshot"))
+            return real_run(config, **kwargs)
 
         monkeypatch.setattr(benchmark_mod, "run", recording_run)
         config = small_config(n_steps=30, snapshot_every=None)
         records = run_comparison(config, (0.5, 0.9), (4.0,), (3,))
-        assert kept == [[0, 30]] * 6
+        assert sinks == [None] * 6
         default = run_comparison(replace(config, snapshot_every=5), (0.5, 0.9), (4.0,), (3,))
         assert [replace(r, elapsed_s=0.0) for r in default] == [
             replace(r, elapsed_s=0.0) for r in records
@@ -162,6 +162,24 @@ class TestGammaSweep:
     def test_subdiffusion_keeps_more_mass_at_source(self):
         entries = gamma_sweep(small_config(), (0.5, 1.0))
         assert entries[0].trace_values[-1] > entries[1].trace_values[-1]
+
+    def test_run_keeps_history_and_few_fields(self):
+        # One gamma's run holds its full-memory history of 151 fields and a
+        # few working fields; the trace keeps one value per snapshot step,
+        # not the 76 fields the default cadence hands out.
+        config = small_config(
+            nx=100, ny=100, n_steps=150, snapshot_every=None, sources=((50, 50, 10.0),)
+        )
+        field = 100 * 100 * 8
+        gamma_sweep(config, (0.5,))
+        tracemalloc.start()
+        try:
+            (entry,) = gamma_sweep(config, (0.5,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert entry.trace_steps.tolist() == list(range(0, 151, 2))
+        assert (peak - 151 * field) / field < 5
 
     def test_requires_full_memory(self):
         with pytest.raises(ValueError, match="full"):

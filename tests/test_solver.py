@@ -54,6 +54,13 @@ def make_config(**kwargs):
     return SimulationConfig(**defaults)
 
 
+def run_collecting(config):
+    """run() with a sink that keeps every snapshot it is handed as (step, field)."""
+    snapshots = []
+    result = run(config, on_snapshot=lambda step_no, field: snapshots.append((step_no, field)))
+    return result, snapshots
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5, 2.0])
     def test_gamma_range(self, gamma):
@@ -113,16 +120,59 @@ class TestSnapshotCadence:
         assert make_config(n_steps=0).snapshot_cadence == 1
 
     def test_snapshot_steps(self):
-        result = run(make_config(n_steps=5, snapshot_every=2))
-        assert [s for s, _ in result.snapshots] == [0, 2, 4, 5]
+        _, snapshots = run_collecting(make_config(n_steps=5, snapshot_every=2))
+        assert [s for s, _ in snapshots] == [0, 2, 4, 5]
+
+    @pytest.mark.parametrize(
+        "n_steps,every,steps",
+        [
+            (6, 3, [0, 3, 6]),
+            (7, 3, [0, 3, 6, 7]),
+            (0, 3, [0]),
+            (1, None, [0, 1]),
+            (250, None, [*range(0, 250, 3), 250]),
+        ],
+    )
+    def test_sink_sees_each_snapshot_step_once(self, n_steps, every, steps):
+        result, snapshots = run_collecting(make_config(n_steps=n_steps, snapshot_every=every))
+        assert [s for s, _ in snapshots] == steps
+        assert snapshots[-1][1] is result.final.data
+
+    def test_sink_gets_the_read_only_fields_the_run_computed(self):
+        config = make_config(n_steps=7, snapshot_every=3, beta=0.01)
+        _, snapshots = run_collecting(config)
+        assert len({id(field) for _, field in snapshots}) == len(snapshots)
+        for step_no, field in snapshots:
+            assert not field.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                field[4, 4] = 0.0
+            expected = run(replace(config, n_steps=step_no)).final.data
+            assert field.tobytes() == expected.tobytes(), step_no
+
+    def test_run_without_sink_holds_history_and_few_fields(self):
+        # Deterministic twin of the benchmark's memory figure: at the default
+        # cadence the run would hand out 101 fields, and keeps none of them.
+        config = make_config(
+            nx=100, ny=100, n_steps=300, strategy=AdaptiveMemory(5),
+            sources=((50, 50, 10.0),),
+        )
+        assert config.snapshot_cadence == 3
+        run(config)
+        tracemalloc.start()
+        try:
+            result = run(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - result.history_bytes) / (100 * 100 * 8) < 5
 
 
 def test_zero_steps_returns_initial():
     config = make_config(n_steps=0)
-    result = run(config)
+    result, snapshots = run_collecting(config)
     assert result.final.data[4, 4] == 10.0
-    assert len(result.snapshots) == 1
-    assert result.snapshots[0][0] == 0
+    assert len(snapshots) == 1
+    assert snapshots[0][0] == 0
 
 
 def test_decay_single_step():
@@ -134,13 +184,13 @@ def test_decay_single_step():
 
 def test_decay_is_exact_iterated_multiply():
     config = make_config(alpha=0.0, beta=0.07, dt=0.5, n_steps=30, snapshot_every=1)
-    result = run(config)
+    _, snapshots = run_collecting(config)
     factor = 1.0 - 0.07 * 0.5
     expected = 10.0
-    for step_no, grid in result.snapshots:
+    for step_no, field in snapshots:
         grid_expected = np.zeros((8, 8))
         grid_expected[4, 4] = expected
-        assert np.array_equal(grid.data, grid_expected), f"step {step_no}"
+        assert np.array_equal(field, grid_expected), f"step {step_no}"
         expected = expected * factor
 
 
@@ -345,8 +395,8 @@ def test_mass_conserved_before_front_reaches_edge():
         nx=21, ny=21, n_steps=8, sources=((10, 10, 10.0),),
         snapshot_every=1,
     )
-    result = run(config)
-    masses = [grid.data.sum() for _, grid in result.snapshots]
+    _, snapshots = run_collecting(config)
+    masses = [field.sum() for _, field in snapshots]
     assert masses[0] == 10.0
     for before, after in zip(masses, masses[1:]):
         assert abs(after - before) <= 1e-10 * masses[0]
@@ -389,8 +439,8 @@ def test_growth_guard_stops_a_finite_blow_up(alpha, strategy, at_step):
 
 
 def test_growth_guard_passes_a_stable_run():
-    result = run(replace(_spike_config(0.17, FullMemory()), snapshot_every=1))
-    assert max(np.abs(grid.data).max() for _, grid in result.snapshots) == 1.0
+    _, snapshots = run_collecting(replace(_spike_config(0.17, FullMemory()), snapshot_every=1))
+    assert max(np.abs(field).max() for _, field in snapshots) == 1.0
 
 
 def test_run_reports_elapsed_and_config():
@@ -490,7 +540,7 @@ def test_memory_cap_counts_the_short_memory_ring():
 
 def test_short_memory_peak_memory_follows_its_horizon():
     # 601 history fields of 60x60 would be 17.3 MB; short:10 keeps 11
-    # (0.5 MB), and the ~100 snapshots take about 2.9 MB more.
+    # (0.3 MB), and the run keeps no snapshot.
     config = make_config(nx=60, ny=60, n_steps=600, strategy=ShortMemory(10.0))
     tracemalloc.start()
     try:
@@ -498,7 +548,7 @@ def test_short_memory_peak_memory_follows_its_horizon():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6_000_000
+    assert peak < 1_000_000
 
 
 def _final_with_parent_expressions(config, slice_stencil):
@@ -573,13 +623,14 @@ def test_step_leaves_the_boundary_ring_at_positive_zero(memory, beta):
 
 @pytest.mark.parametrize("memory", ["short:5", "adaptive:3", "full"])
 def test_step_holds_few_fields_beyond_history(memory):
-    # The deterministic side of the stepping loop's speed: a step allocates
-    # its sum (updated in place), the product u * decay, and the stencil's
-    # output plus its -4u term, so run() peaks at under four fields besides
-    # history and snapshots (six at the two-dimensional slice stencil).
+    # The deterministic side of the stepping loop's speed: a step holds u
+    # and allocates its sum (updated in place), the product u * decay, and
+    # the stencil's output plus its -4u term, so run() peaks at four fields
+    # and the psi table besides its history (about six at the
+    # two-dimensional slice stencil).
     config = make_config(
         nx=100, ny=100, n_steps=60, strategy=parse_memory_spec(memory),
-        snapshot_every=10**6, sources=((50, 50, 10.0),),
+        sources=((50, 50, 10.0),),
     )
     run(config)
     tracemalloc.start()
@@ -588,9 +639,8 @@ def test_step_holds_few_fields_beyond_history(memory):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    snapshots = sum(grid.data.nbytes for _, grid in result.snapshots)
-    fields = (peak - result.history_bytes - snapshots) / (100 * 100 * 8)
-    assert fields < 4
+    fields = (peak - result.history_bytes) / (100 * 100 * 8)
+    assert fields < 5
 
 
 @pytest.mark.parametrize("base", [3, 5, 12])
