@@ -256,29 +256,26 @@ class HistoryBuffer:
         run order.
 
         A single dense run from offset 0, the newest c = count entries, is
-        read in cyclic order: from entry e0 = k - (k mod c) up to k, then
-        from the window's oldest entry up to e0 - 1, with the coefficients
-        rotated to match.  In a ring of c slots that order is slot order, so
-        the window is one view of the whole ring; other storage reads the
-        same two pieces and joins them, which gives the same bits.  When the
-        window starts at entry 0, e0 is 0 and the order is oldest first, so a
-        schedule that visits every offset reproduces full memory bit for bit.
+        read as it is stored: one block when its slots do not wrap, and when
+        they do and the window fills the ring, the whole ring in slot order
+        with the coefficients rotated to match.  A window that wraps without
+        filling the ring raises.  From entry 0, storage order is oldest
+        first, so a schedule that visits every offset reproduces full memory
+        bit for bit.
         """
         if len(runs) == 1 and runs[0][0] == 0 and runs[0][2] == 1:
             coeffs = coefficients[0]
             count = len(coeffs)
             lo = k - count + 1
-            e0 = k - k % count
-            if e0 == lo:
-                view = self.block(lo, k)
-            else:
-                split = e0 - lo
+            slots = len(self._data)
+            start = lo % slots
+            if start + count > slots and count == slots:
+                self._check(lo, k)
+                split = slots - start
                 coeffs = np.concatenate((coeffs[split:], coeffs[:split]))
-                if count == len(self._data):
-                    self._check(lo, k)
-                    view = self._data
-                else:
-                    view = np.concatenate((self.block(e0, k), self.block(lo, e0 - 1)))
+                view = self._data
+            else:
+                view = self.block(lo, k)
             return (coeffs @ view.reshape(count, -1)).reshape(self.field_shape)
         total = None
         for (m, count, stride), coeffs in zip(runs, coefficients):

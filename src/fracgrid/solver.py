@@ -5,12 +5,13 @@ Each step advances the field by
     u_next = u * (1 - beta * dt) + alpha * dt**gamma / dx**2 * S_k
 
 where S_k is the weighted backward sum of stored stencil fields dictated by
-the active memory schedule.  The solver turns each run of the schedule into
-its coefficients (:func:`entry_coefficients`), stored oldest first like the
-history itself, and :meth:`HistoryBuffer.weighted_sum` contracts them with
-the stored fields.  A dense run's coefficients are a slice of the psi table
-kept in that order, so no step reverses or copies them, and a schedule that
-visits every offset reproduces the full-memory result bit for bit.
+the active memory schedule.  :meth:`PsiTable.coefficients` turns each run
+of the schedule into its coefficients, stored oldest first like the history
+itself, and :meth:`HistoryBuffer.weighted_sum` contracts them with the
+stored fields in storage order.  A dense run's coefficients are a slice of
+the psi table kept in that order, so no step reverses or copies them, and a
+schedule that visits every offset reproduces the full-memory result bit for
+bit.
 
 Besides the contraction a step costs a fixed few passes over one field,
 whatever the strategy: the update scales the contraction's fresh result in
@@ -19,8 +20,8 @@ one min, the stencil fills one new field, and the history copies that field
 in.  The new field's boundary ring takes no pass of its own: every stored
 stencil field has a +0 ring and every schedule weighs offset 0 by
 psi(0) = 1, so the sum's ring adds that +0 to other zeros and is +0, and
-scaling it by a ratio >= 0 and adding ``u`` keeps it +0.  A run's
-coefficients are built only in the step where the run or its span changes;
+scaling it by a ratio >= 0 and adding ``u`` keeps it +0.  The table builds
+a run's coefficients only in the step where the run or its span changes;
 every other step reuses them.
 
 A run holds its history, the field it advances and a step's few working
@@ -170,7 +171,8 @@ class SimulationConfig:
                 f"exceeds the bound 2**(gamma-3) = {limit:.4g}; "
                 "the explicit step may diverge",
                 StabilityWarning,
-                stacklevel=2,
+                # Past the dataclass __init__ to the code that built the config.
+                stacklevel=3,
             )
 
     @property
@@ -198,64 +200,6 @@ class SimulationResult:
     history_bytes: int
 
 
-def entry_coefficients(schedule: MemorySchedule, table: PsiTable) -> list[np.ndarray]:
-    """Per-run coefficients: the psi mass of the offsets each entry stands for.
-
-    Returns one read-only C-contiguous array per run in storage order, oldest
-    entry (the run's largest offset) first, which is the order the history
-    keeps its fields in, so each run contracts with its history view as is.
-    Each entry gets the sum of psi(x) over its cell (see
-    :class:`MemorySchedule`), read off the table's prefix sums with one
-    strided slice per run: inside a run the cells start ``stride`` offsets
-    apart, and the run's span supplies its outer bounds.  An entry whose cell
-    is just its own offset m gets psi(m) itself, bit for bit, so full and
-    short memory and any schedule that visits every offset weigh history
-    exactly alike; a dense run of unit cells is a view of the table's
-    ``reversed_values``, never a copy.
-
-    A run's coefficients depend only on the run, its span and the table.  A
-    run whose ``(run, span)`` is in the table's ``memo`` is not computed
-    again, and the memo is left holding exactly this schedule's computed
-    runs: a stepping loop reuses every run the previous step shared with
-    this one, and the memo never grows past one schedule.
-    """
-    values, prefix, rev = table.values, table.prefix, table.reversed_values
-    cap = table.capacity
-    memo = table.memo
-    fresh = {}
-    out = []
-    for key in zip(schedule.runs, schedule.spans):
-        (m, count, stride), (lo, hi) = key
-        last = m + (count - 1) * stride
-        if stride == 1 and lo == m and hi == last + 1:
-            out.append(rev[cap - last : cap - m + 1])
-            continue
-        coeffs = memo.get(key)
-        if coeffs is None:
-            # Cell bounds, oldest first: hi, the start of every cell but the
-            # newest, then lo.
-            half = (stride - 1) // 2
-            mass = np.empty(count + 1)
-            mass[0] = prefix[hi]
-            mass[1:-1] = prefix[m + stride - half : m + count * stride - half : stride][::-1]
-            mass[-1] = prefix[lo]
-            coeffs = mass[:-1] - mass[1:]
-            if stride == 1:
-                coeffs[1:-1] = rev[cap - last + 1 : cap - m]
-            first_end = hi if count == 1 else m + stride - half
-            last_start = lo if count == 1 else last - half
-            if first_end - lo == 1:
-                coeffs[-1] = values[m]
-            if hi - last_start == 1:
-                coeffs[0] = values[last]
-            coeffs.setflags(write=False)
-        fresh[key] = coeffs
-        out.append(coeffs)
-    memo.clear()
-    memo.update(fresh)
-    return out
-
-
 def history_sum(
     history: HistoryBuffer,
     schedule: MemorySchedule,
@@ -265,7 +209,7 @@ def history_sum(
     """Weighted backward sum  S_k = sum over entries (m, cell) of  c * delta[k - m].
 
     The coefficient c of the entry at offset m is the sum of psi over the
-    offsets its cell stands for (:func:`entry_coefficients`): psi(m) for a
+    offsets its cell stands for (:meth:`PsiTable.coefficients`): psi(m) for a
     unit cell, and for a thinned entry the psi mass of the run of
     neighbouring steps it replaces, so a schedule whose cells tile 0..k
     carries the full-memory weight mass.
@@ -282,11 +226,7 @@ def history_sum(
     reach = schedule.reach
     if reach > k:
         raise ValueError(f"schedule reaches offset {reach}, beyond step {k}")
-    if reach > table.capacity:
-        raise ValueError(
-            f"psi table covers offsets up to {table.capacity}, schedule needs {reach}"
-        )
-    return history.weighted_sum(schedule.runs, entry_coefficients(schedule, table), k)
+    return history.weighted_sum(schedule.runs, table.coefficients(schedule), k)
 
 
 def step(

@@ -339,17 +339,15 @@ class TestHistoryBuffer:
             _window_sum(buf, np.ones(4), 8)
         assert buf.block(8, 9)[:, 0, 0].tolist() == [8.0, 9.0]
 
-    @pytest.mark.parametrize("storage", ["ring", "linear"])
+    @pytest.mark.parametrize("storage", ["ring"])
     @pytest.mark.parametrize("window", [1, 2, 3, 5, 8])
     def test_window_sum_matches_cyclic_order_bitwise(self, window, storage):
-        # At every k mod W: a ring of W slots is read as one view of all its
-        # slots (or one block), linear storage as one block or two joined
-        # blocks; both must give the cyclic-order sum bit for bit.
+        # At every k mod W a ring of W slots is read as one view of all its
+        # slots (or one block), which must give the cyclic-order sum bit for
+        # bit.
         rng = np.random.default_rng(100 + window)
         capacity = 4 * window + 3
-        buf = HistoryBuffer(
-            capacity, (6, 7), window=window if storage == "ring" else None
-        )
+        buf = HistoryBuffer(capacity, (6, 7), window=window)
         entries = []
         for k in range(capacity):
             entries.append(rng.standard_normal((6, 7)) * 10.0 ** rng.integers(-5, 5))
@@ -359,6 +357,55 @@ class TestHistoryBuffer:
             assert _window_sum(buf, coeffs, k).tobytes() == (
                 _window_in_cyclic_order(entries, coeffs, k).tobytes()
             )
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 5, 8])
+    def test_late_window_on_linear_storage_reads_in_place(self, window):
+        # Storage that keeps every entry reads a window that starts past
+        # entry 0 as one block, oldest first, and copies no entry.
+        rng = np.random.default_rng(200 + window)
+        capacity = 4 * window + 3
+        buf = HistoryBuffer(capacity, (30, 40))
+        entries = []
+        for k in range(capacity):
+            entries.append(rng.standard_normal((30, 40)) * 10.0 ** rng.integers(-5, 5))
+            buf.append(entries[-1])
+            count = min(window, k + 1)
+            lo = k - count + 1
+            coeffs = rng.standard_normal(count)
+            rows = np.stack(entries[lo:]).reshape(count, -1)
+            expected = (coeffs @ rows).reshape(30, 40)
+            tracemalloc.start()
+            try:
+                total = _window_sum(buf, coeffs, k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert total.tobytes() == expected.tobytes()
+            assert peak < 2 * total.nbytes
+
+    def test_window_that_wraps_without_filling_the_ring_raises(self):
+        buf = HistoryBuffer(30, (3, 3), window=5)
+        for value in range(7):
+            buf.append(np.full((3, 3), float(value)))
+        # entries 2..6 sit in slots 2, 3, 4, 0, 1
+        with pytest.raises(ValueError, match="wrap"):
+            _window_sum(buf, np.ones(3), 6)
+        with pytest.raises(ValueError, match="wrap"):
+            _window_sum(buf, np.ones(4), 6)
+        assert _picked_entries(buf, 3, 4, (1, 1)) == [2.0, 3.0, 4.0]
+        assert _picked_entries(buf, 2, 6, (1, 1)) == [5.0, 6.0]
+        assert _picked_entries(buf, 5, 6, (1, 1)) == [2.0, 3.0, 4.0, 5.0, 6.0]
+
+    def test_window_reaching_an_overwritten_entry_raises_before_the_wrap_check(self):
+        buf = HistoryBuffer(30, (3, 3), window=4)
+        for value in range(10):
+            buf.append(np.full((3, 3), float(value)))
+        # entries 0..5 are overwritten; windows of three ending at 4 and 5
+        # would also wrap, over slots 2, 3, 0 and 3, 0, 1
+        for k in (4, 5):
+            with pytest.raises(IndexError, match="overwritten"):
+                _window_sum(buf, np.ones(3), k)
+        assert _picked_entries(buf, 4, 9, (0, 0)) == [6.0, 7.0, 8.0, 9.0]
 
     @pytest.mark.parametrize("base", [3, 5])
     def test_thinned_runs_sum_run_by_run_bitwise(self, base):

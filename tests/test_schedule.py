@@ -19,7 +19,6 @@ from fracgrid.schedule import (
     parse_memory_spec,
     short_schedule,
 )
-from fracgrid.solver import entry_coefficients
 
 GOLDEN_K9_A3 = [(0, 1), (1, 1), (2, 1), (3, 1), (5, 3), (8, 3)]
 GOLDEN_K20_A3 = [
@@ -171,7 +170,7 @@ def test_run_coefficients_match_the_cell_rule_bitwise(a):
         expected = mass[1:] - mass[:-1]
         single = cells[1:] - cells[:-1] == 1
         expected[single] = table.values[sched.offsets[single]]
-        coeffs = entry_coefficients(sched, table)
+        coeffs = table.coefficients(sched)
         assert len(coeffs) == len(sched.runs)
         assert [c.size for c in coeffs] == [count for _, count, _ in sched.runs]
         assert all(c.flags.c_contiguous for c in coeffs)
@@ -260,7 +259,7 @@ def test_adaptive_structure_property(a):
 
 def _coefficients(sched, table):
     """Every entry's coefficient in offset order, as one array."""
-    return np.concatenate([c[::-1] for c in entry_coefficients(sched, table)])
+    return np.concatenate([c[::-1] for c in table.coefficients(sched)])
 
 
 def test_adaptive_weighted_sum_accuracy():

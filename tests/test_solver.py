@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import fracgrid
-from fracgrid.coefficients import build_table
+from fracgrid.coefficients import PsiTable, build_table
 from fracgrid.grid import HistoryBuffer, MemoryBudgetError, stencil
 from fracgrid.schedule import (
     AdaptiveMemory,
@@ -31,7 +32,6 @@ from fracgrid.solver import (
     DivergenceError,
     SimulationConfig,
     StabilityWarning,
-    entry_coefficients,
     history_sum,
     run,
     step,
@@ -103,6 +103,13 @@ class TestConfigValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             make_config(gamma=0.5, dt=1.0, dx=1.0, alpha=0.17)
+
+    def test_stability_warning_names_the_code_that_built_the_config(self):
+        with pytest.warns(StabilityWarning) as caught:
+            SimulationConfig(
+                gamma=0.5, alpha=1.0, beta=0.0, dt=1.0, dx=1.0, nx=5, ny=5, n_steps=1
+            )
+        assert [w.filename for w in caught] == [__file__]
 
     def test_stability_ratio(self):
         config = make_config(gamma=0.5, alpha=2.0, dt=4.0, dx=10.0)
@@ -297,7 +304,7 @@ def test_history_sum_matches_manual_loop():
         (30, full_schedule(30)),
         (30, adaptive_schedule(30, 3)),
         (260, adaptive_schedule(260, 4)),  # gaps and overlaps at the joins
-        (260, short_schedule(260, 40.0, 1.0)),  # a window read in cyclic order
+        (260, short_schedule(260, 40.0, 1.0)),  # a late window, read in place
     ):
         pairs = sched.pairs()
         manual = np.zeros((5, 5))
@@ -318,7 +325,7 @@ def test_adaptive_coefficients_carry_full_weight_mass(gamma, k, base):
     # coefficients must add up to the weight mass of the whole history, also
     # where the geometric intervals join with gaps or overlaps.
     table = build_table(gamma, k)
-    coeffs = np.concatenate(entry_coefficients(adaptive_schedule(k, base), table))
+    coeffs = np.concatenate(table.coefficients(adaptive_schedule(k, base)))
     expected = math.fsum(table.values[: k + 1])
     assert math.fsum(coeffs) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -326,13 +333,13 @@ def test_adaptive_coefficients_carry_full_weight_mass(gamma, k, base):
 def test_unit_cells_keep_psi_bitwise():
     table = build_table(0.5, 260)
     sched = adaptive_schedule(260, 4)
-    coeffs = np.concatenate([c[::-1] for c in entry_coefficients(sched, table)])
+    coeffs = np.concatenate([c[::-1] for c in table.coefficients(sched)])
     pairs = sched.pairs()
     cell_sizes = np.bincount([_cell_owner(pairs, x) for x in range(261)], minlength=len(pairs))
     single = cell_sizes == 1
     assert single.any() and not single.all()
     assert np.array_equal(coeffs[single], table.values[sched.offsets[single]])
-    (full,) = entry_coefficients(full_schedule(40), table)
+    (full,) = table.coefficients(full_schedule(40))
     assert np.array_equal(full[::-1], table.values[:41])
 
 
@@ -475,14 +482,22 @@ def test_strategy_affects_only_history_weights():
 
 
 def _final_over_linear_history(config):
-    """The stepping loop of run() over a history that keeps every step."""
-    table = build_table(config.gamma, config.n_steps)
-    u = config.initial_grid().data.copy()
-    history = HistoryBuffer(config.n_steps + 1, u.shape)
-    history.append(stencil(u))
-    bound = GROWTH_LIMIT * float(np.abs(u).max())
+    """run()'s stepping loop for short memory over a list of every stencil
+    field, without a HistoryBuffer: each window of the newest W entries is
+    weighted by psi and contracted in the order a ring of W slots keeps it,
+    entry e in slot e mod W."""
+    psi = build_table(config.gamma, config.n_steps).values
+    slots = config.strategy.reach(config.n_steps, config.dt) + 1
+    decay = 1.0 - config.beta * config.dt
+    u = config.initial_grid().data
+    fields = [stencil(u)]
     for k in range(config.n_steps):
-        u = step(u, history, k, config, table, bound)
+        order = sorted(range(max(0, k - slots + 1), k + 1), key=lambda e: e % slots)
+        coeffs = np.array([psi[k - e] for e in order])
+        rows = np.stack([fields[e] for e in order]).reshape(len(order), -1)
+        total = (coeffs @ rows).reshape(u.shape)
+        u = total * config.stability_ratio + u * decay
+        fields.append(stencil(u))
     return u
 
 
@@ -645,23 +660,26 @@ def test_step_holds_few_fields_beyond_history(memory):
 
 @pytest.mark.parametrize("base", [3, 5, 12])
 def test_coefficient_memo_reuses_unchanged_runs_bitwise(base):
-    # One table carries its memo from step to step; the other starts each
-    # step with an empty memo, so it computes every run afresh.
+    # One table weighs every step's schedule; each step's schedule is also
+    # weighed by a new table over the same psi values, which computes every
+    # run afresh.  A run shared with the previous step is the same array,
+    # and every array of the previous step this step does not return is
+    # freed once the caller drops it: the table keeps one schedule's runs.
     table = build_table(0.7, 1500)
-    other = build_table(0.7, 1500)
     strategy = AdaptiveMemory(base)
     previous: dict = {}
     reused = 0
     for k in range(1500):
         schedule = strategy.schedule_at(k, 1.0)
-        kept = entry_coefficients(schedule, table)
-        other.memo.clear()
-        fresh = entry_coefficients(schedule, other)
+        kept = table.coefficients(schedule)
+        fresh = PsiTable(gamma=table.gamma, values=table.values).coefficients(schedule)
         assert len(kept) == len(fresh) == len(schedule.runs)
-        for key, a, b in zip(zip(schedule.runs, schedule.spans), kept, fresh):
+        keys = list(zip(schedule.runs, schedule.spans))
+        for key, a, b in zip(keys, kept, fresh):
             assert a.tobytes() == b.tobytes()
             assert not a.flags.writeable and not b.flags.writeable
-            reused += previous.get(key) is a
-        assert len(table.memo) <= len(schedule.runs)
-        previous = dict(zip(zip(schedule.runs, schedule.spans), kept))
+            reused += key in previous and previous[key]() is a
+        returned = {id(c) for c in kept}
+        assert all(ref() is None or id(ref()) in returned for ref in previous.values())
+        previous = {key: weakref.ref(c) for key, c in zip(keys, kept)}
     assert reused > 1500
