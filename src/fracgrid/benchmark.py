@@ -77,10 +77,13 @@ def run_comparison(
     """Score every (strategy, parameter) pair against full memory for each gamma.
 
     ``base_config`` must itself use full memory; its gamma is overridden by
-    each entry of ``gammas`` in turn.  A run that diverges produces a record
-    with NaN errors and the failure message instead of aborting the sweep.
-    Records come back sorted by (gamma, strategy name, parameter).  Only
-    final fields are scored, so no run is given a snapshot sink.
+    each entry of ``gammas`` in turn.  At each gamma full memory runs first,
+    in the same loop as the rest, and its errors are exactly 0.  A run that
+    diverges produces a record with NaN errors and the failure message
+    instead of aborting the sweep; if it is the reference, every other
+    strategy at that gamma gets such a record without being run.  Records
+    come back sorted by (gamma, strategy name, parameter).  Only final
+    fields are scored, so no run is given a snapshot sink.
     """
     if not isinstance(base_config.strategy, FullMemory):
         raise ValueError("comparison reference must use the full-memory strategy")
@@ -89,43 +92,35 @@ def run_comparison(
     if not gammas:
         raise ValueError("at least one gamma is required")
 
-    full = base_config.strategy
-    candidates = [ShortMemory(length=float(length)) for length in short_lengths] + [
-        AdaptiveMemory(base=int(base)) for base in adaptive_bases
+    strategies = [
+        base_config.strategy,
+        *(ShortMemory(length=float(length)) for length in short_lengths),
+        *(AdaptiveMemory(base=int(base)) for base in adaptive_bases),
     ]
     records: list[BenchmarkRecord] = []
-    for gamma in gammas:
-        ref_config = replace(base_config, gamma=float(gamma))
-        reference, ref_elapsed = _timed_run(ref_config, repeats)
-        records.append(
-            BenchmarkRecord(
-                strategy=full.tag,
-                param=full.param,
-                gamma=float(gamma),
-                elapsed_s=ref_elapsed,
-                err_l2_pct=0.0,
-                err_linf_pct=0.0,
-            )
-        )
-        for strategy in candidates:
-            config = replace(ref_config, strategy=strategy)
-            try:
-                result, elapsed = _timed_run(config, repeats)
-            except DivergenceError as exc:
-                elapsed = err_l2 = err_linf = float("nan")
-                message = str(exc)
-            else:
-                err_l2, err_linf = relative_error(result.final, reference.final)
-                message = ""
+    for gamma in map(float, gammas):
+        reference: Grid2D | None = None
+        skipped = ""
+        for strategy in strategies:
+            elapsed = err_l2 = err_linf = float("nan")
+            message = skipped
+            if not skipped:
+                try:
+                    result, elapsed = _timed_run(
+                        replace(base_config, gamma=gamma, strategy=strategy), repeats
+                    )
+                except DivergenceError as exc:
+                    message = str(exc)
+                    if reference is None:
+                        skipped = f"full-memory reference diverged: {exc}"
+                else:
+                    if reference is None:
+                        reference, err_l2, err_linf = result.final, 0.0, 0.0
+                    else:
+                        err_l2, err_linf = relative_error(result.final, reference)
             records.append(
                 BenchmarkRecord(
-                    strategy=strategy.tag,
-                    param=strategy.param,
-                    gamma=float(gamma),
-                    elapsed_s=elapsed,
-                    err_l2_pct=err_l2,
-                    err_linf_pct=err_linf,
-                    message=message,
+                    strategy.tag, strategy.param, gamma, elapsed, err_l2, err_linf, message
                 )
             )
     records.sort(key=lambda r: (r.gamma, r.strategy, r.param))

@@ -72,13 +72,20 @@ def _parse_count(raw: Any) -> int:
 
 
 def _parse_list(item: Callable[[str], Any]) -> Callable[[Any], tuple]:
-    """A parser of comma-separated text whose items ``item`` reads and checks."""
+    """A parser of comma-separated text whose items ``item`` reads and checks.
+
+    Items are compared as read, so ``0.5,0.50`` repeats a value.
+    """
 
     def parse(raw: Any) -> tuple:
         items = [p for p in (s.strip() for s in str(raw).split(",")) if p]
         if not items:
             raise ValueError("empty list")
-        return tuple(item(p) for p in items)
+        values = tuple(item(p) for p in items)
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"duplicate value {value}")
+        return values
 
     return parse
 

@@ -90,6 +90,7 @@ class DivergenceError(RuntimeError):
 class StabilityWarning(UserWarning):
     """The stability ratio exceeds the full-memory bound; results may blow up.
 
+    :func:`run` issues it as a run starts; building a config warns nothing.
     The bound is :func:`stability_limit`.  Staying under it does not make a
     thinned schedule stable; a run that diverges raises
     :class:`DivergenceError` either way.
@@ -99,6 +100,8 @@ class StabilityWarning(UserWarning):
 @dataclass(frozen=True)
 class SimulationConfig:
     """Fully-resolved parameters of one run.
+
+    Building one checks every value and warns nothing; :func:`run` does.
 
     Parameters
     ----------
@@ -164,16 +167,6 @@ class SimulationConfig:
             if (j, l) in seen:
                 raise ValueError(f"duplicate source at ({j}, {l})")
             seen.add((j, l))
-        limit = stability_limit(self.gamma)
-        if self.stability_ratio > limit:
-            warnings.warn(
-                f"stability ratio alpha*dt**gamma/dx**2 = {self.stability_ratio:.4g} "
-                f"exceeds the bound 2**(gamma-3) = {limit:.4g}; "
-                "the explicit step may diverge",
-                StabilityWarning,
-                # Past the dataclass __init__ to the code that built the config.
-                stacklevel=3,
-            )
 
     @property
     def stability_ratio(self) -> float:
@@ -278,6 +271,7 @@ def run(
     last one is ``result.final.data``.  ``progress_every`` > 0 logs a
     progress line every that many steps.  The reported wall time covers only
     the stepping loop, sink calls included.
+    A ratio above :func:`stability_limit` warns once, naming the caller.
     A step whose peak |u| is not finite or exceeds ``GROWTH_LIMIT`` times the
     initial peak raises :class:`DivergenceError`.
     """
@@ -290,6 +284,15 @@ def run(
         byte_cap=config.history_byte_cap,
         window=config.strategy.reach(config.n_steps, config.dt) + 1,
     )
+    limit = stability_limit(config.gamma)
+    if config.stability_ratio > limit:
+        warnings.warn(
+            f"stability ratio alpha*dt**gamma/dx**2 = {config.stability_ratio:.4g} "
+            f"exceeds the bound 2**(gamma-3) = {limit:.4g}; "
+            "the explicit step may diverge",
+            StabilityWarning,
+            stacklevel=2,
+        )
     table = build_table(config.gamma, config.n_steps)
     # Read-only from the start: no step writes to the field it advances.
     u = config.initial_grid().data

@@ -141,6 +141,38 @@ class TestRunComparison:
         healthy = [r for r in records if r.strategy == "short" and not r.failed]
         assert len(healthy) == 1
 
+    def test_failed_reference_fails_only_its_gamma(self, monkeypatch):
+        real_run = benchmark_mod.run
+        runs = []
+
+        def exploding_run(config, **kwargs):
+            runs.append((config.gamma, config.strategy))
+            if config.gamma == 0.5 and isinstance(config.strategy, FullMemory):
+                raise DivergenceError(7, float("inf"))
+            return real_run(config, **kwargs)
+
+        sweep = (small_config(), (0.5, 0.9), (13.0, 20.0), (3,))
+        undisturbed = run_comparison(*sweep)
+        monkeypatch.setattr(benchmark_mod, "run", exploding_run)
+        records = run_comparison(*sweep)
+
+        def untimed(gamma, rows):
+            return [replace(r, elapsed_s=0.0) for r in rows if r.gamma == gamma]
+
+        assert untimed(0.9, records) == untimed(0.9, undisturbed)
+        # Only the reference ran at the failed gamma.
+        assert [strategy for gamma, strategy in runs if gamma == 0.5] == [FullMemory()]
+        failed = [r for r in records if r.gamma == 0.5]
+        assert len(failed) == 4
+        for record in failed:
+            assert record.failed
+            assert np.isnan([record.elapsed_s, record.err_l2_pct, record.err_linf_pct]).all()
+        messages = {r.strategy: r.message for r in failed}
+        assert messages["full"] == "solution diverged at step 7: max |u| reached inf"
+        assert messages["short"] == messages["adaptive"] == (
+            "full-memory reference diverged: " + messages["full"]
+        )
+
 
 def test_source_cell_selection():
     config = small_config(sources=((5, 5, 1.0), (3, 4, -8.0)))

@@ -24,6 +24,7 @@ from fracgrid.config import (
     config_as_dict,
 )
 from fracgrid.csvio import read_grid_csv
+from fracgrid.solver import StabilityWarning
 
 SIM_FLAGS = [
     "--gamma", "0.8",
@@ -259,6 +260,57 @@ def test_benchmark_artifacts(tmp_path):
     assert set(manifest["config"]) == read | {"sources"}
 
 
+@pytest.mark.filterwarnings("ignore::fracgrid.solver.StabilityWarning")
+def test_benchmark_diverging_reference_fails_only_its_gamma(tmp_path, caplog):
+    out = tmp_path / "bench"
+    rc = main(
+        [
+            "benchmark", "--out-dir", str(out), "--gammas", "0.5,1.0",
+            "--dx", "1", "--dt", "1", "--alpha", "0.2", "--grid", "9x9",
+            "--steps", "500", "--source", "4,4=1",
+            "--short-lengths", "10", "--adaptive-bases", "3",
+        ]
+    )
+    assert rc == EXIT_OK
+    rows = [line.split(",") for line in (out / "benchmark.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 6
+    for row in rows:
+        finite = [np.isfinite(float(value)) for value in row[3:]]
+        assert finite == ([False] * 3 if row[2] == "0.5" else [True] * 3), row
+    assert "full:0 at gamma=0.5 failed: solution diverged at step 90" in caplog.text
+    manifest = json.loads((out / "manifest.json").read_text())
+    on_disk = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    assert set(manifest["artifacts"]) | {"manifest.json"} == on_disk
+
+
+# Ratio 0.25 is above the bound 0.1768 at gamma 0.5 and at the bound 0.25 at 1.
+UNSTABLE_AT_HALF = [
+    "--dx", "2", "--dt", "1", "--steps", "2", "--grid", "5x5", "--source", "2,2=1",
+]
+WARNING_AT_HALF = (
+    "stability ratio alpha*dt**gamma/dx**2 = 0.25 exceeds the bound "
+    "2**(gamma-3) = 0.1768; the explicit step may diverge"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,module",
+    [
+        (["benchmark", "--gammas", "0.5,1.0", *UNSTABLE_AT_HALF], benchmark_mod),
+        (["sweep-gamma", "--gammas", "0.5,1.0", *UNSTABLE_AT_HALF], benchmark_mod),
+        (["simulate", "--gamma", "0.5", "--alpha", "1", *UNSTABLE_AT_HALF], cli),
+    ],
+    ids=["benchmark", "sweep-gamma", "simulate"],
+)
+def test_stability_warning_names_the_code_that_ran(tmp_path, argv, module):
+    # Only gamma 0.5 is unstable: benchmark's scenario gamma of 0.75, which
+    # it never runs, warns nothing.
+    with pytest.warns(StabilityWarning) as caught:
+        assert main([*argv, "--out-dir", str(tmp_path / "x")]) == EXIT_OK
+    assert {str(w.message) for w in caught} == {WARNING_AT_HALF}
+    assert {w.filename for w in caught} == {module.__file__}
+
+
 def test_benchmark_rejects_bad_sweep(tmp_path, capsys):
     rc = main(
         [
@@ -451,10 +503,19 @@ MALFORMED = [
     ("benchmark", "sweep", "gammas", "0.5,abc", "gammas: could not convert string to float: 'abc'"),
     ("benchmark", "sweep", "repeats", "two", "repeats: expected an integer, got 'two'"),
 ]
+# A list may not repeat a value, however it is spelled.
+REPEATED = [
+    ("benchmark", "sweep", "gammas", "0.5,0.50", "gammas: duplicate value 0.5"),
+    ("benchmark", "sweep", "short_lengths", "10,10.0", "short_lengths: duplicate value 10.0"),
+    ("benchmark", "sweep", "adaptive_bases", "2,3,2", "adaptive_bases: duplicate value 2"),
+    ("sweep-gamma", "sweep", "gammas", "1,0.5,1.0", "gammas: duplicate value 1.0"),
+]
 
 
 @pytest.mark.parametrize(
-    "command,section,key,value,message", MALFORMED, ids=[m[2] for m in MALFORMED]
+    "command,section,key,value,message",
+    MALFORMED + REPEATED,
+    ids=[m[2] for m in MALFORMED] + [f"{m[0]}-{m[2]}-repeated" for m in REPEATED],
 )
 def test_malformed_value_fails_alike_by_flag_and_by_file(
     tmp_path, capsys, command, section, key, value, message
@@ -468,7 +529,7 @@ def test_malformed_value_fails_alike_by_flag_and_by_file(
     ini.write_text(f"[{section}]\n{key} = {value}\n")
     out = tmp_path / "out"
     errors = []
-    for given in (["--" + key, value], ["--config", str(ini)]):
+    for given in (["--" + key.replace("_", "-"), value], ["--config", str(ini)]):
         rc = main([command, "--out-dir", str(out), *flags, "--source", "6,6=10", *given])
         assert rc == EXIT_CONFIG
         assert not out.exists()

@@ -92,24 +92,32 @@ class TestConfigValidation:
             make_config(sources=((4, 4, math.nan),))
 
     def test_stability_warning(self):
+        # A run warns as it starts; zero steps are enough.
         with pytest.warns(StabilityWarning):
-            make_config(gamma=1.0, dt=1.0, dx=1.0, alpha=0.3)
+            run(make_config(gamma=1.0, dt=1.0, dx=1.0, alpha=0.3, n_steps=0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            make_config(gamma=1.0, dt=1.0, dx=2.0, alpha=1.0)  # ratio 0.25, no warning
+            run(make_config(gamma=1.0, dt=1.0, dx=2.0, alpha=1.0, n_steps=0))  # ratio 0.25
         # The bound 2**(gamma-3) tightens with gamma: about 0.177 at 0.5.
         with pytest.warns(StabilityWarning, match="2\\*\\*\\(gamma-3\\)"):
-            make_config(gamma=0.5, dt=1.0, dx=1.0, alpha=0.186)
+            run(make_config(gamma=0.5, dt=1.0, dx=1.0, alpha=0.186, n_steps=0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            make_config(gamma=0.5, dt=1.0, dx=1.0, alpha=0.17)
+            run(make_config(gamma=0.5, dt=1.0, dx=1.0, alpha=0.17, n_steps=0))
 
-    def test_stability_warning_names_the_code_that_built_the_config(self):
+    def test_stability_warning_names_the_code_that_ran_the_config(self):
+        config = SimulationConfig(
+            gamma=0.5, alpha=1.0, beta=0.0, dt=1.0, dx=1.0, nx=5, ny=5, n_steps=1
+        )
         with pytest.warns(StabilityWarning) as caught:
-            SimulationConfig(
-                gamma=0.5, alpha=1.0, beta=0.0, dt=1.0, dx=1.0, nx=5, ny=5, n_steps=1
-            )
+            run(config)
         assert [w.filename for w in caught] == [__file__]
+
+    def test_building_an_unstable_config_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = make_config(gamma=0.5, dt=1.0, dx=1.0, alpha=1.0)
+            replace(config, gamma=0.75, n_steps=0)
 
     def test_stability_ratio(self):
         config = make_config(gamma=0.5, alpha=2.0, dt=4.0, dx=10.0)
