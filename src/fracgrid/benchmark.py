@@ -34,6 +34,9 @@ class BenchmarkRecord:
         return bool(self.message)
 
 
+_ZERO_REFERENCE = "reference field is identically zero; errors are undefined"
+
+
 def relative_error(approx: Grid2D, reference: Grid2D) -> tuple[float, float]:
     """Relative L2 and Linf errors of ``approx`` against ``reference``, in percent.
 
@@ -49,10 +52,20 @@ def relative_error(approx: Grid2D, reference: Grid2D) -> tuple[float, float]:
     ref_l2 = float(np.linalg.norm(ref))
     ref_linf = float(np.abs(ref).max())
     if ref_l2 == 0.0 or ref_linf == 0.0:
-        raise ValueError("reference field is identically zero; errors are undefined")
+        raise ValueError(_ZERO_REFERENCE)
     err_l2 = float(np.linalg.norm(diff)) / ref_l2 * 100.0
     err_linf = float(np.abs(diff).max()) / ref_linf * 100.0
     return err_l2, err_linf
+
+
+def check_initial_field(config: SimulationConfig) -> None:
+    """Refuse, before any run, an initial field whose reference must be zero.
+
+    A run from an identically zero initial field stays zero under every
+    strategy, so :func:`relative_error` would refuse its reference anyway.
+    """
+    if not np.any(config.initial_grid().data):
+        raise ValueError(_ZERO_REFERENCE)
 
 
 def _timed_run(config: SimulationConfig, repeats: int) -> tuple[SimulationResult, float]:
@@ -81,7 +94,8 @@ def run_comparison(
     in the same loop as the rest, and its errors are exactly 0.  A run that
     diverges produces a record with NaN errors and the failure message
     instead of aborting the sweep; if it is the reference, every other
-    strategy at that gamma gets such a record without being run.  Records
+    strategy at that gamma gets such a record without being run.  An
+    identically zero initial field is refused before the first run.  Records
     come back sorted by (gamma, strategy name, parameter).  Only final
     fields are scored, so no run is given a snapshot sink.
     """
@@ -91,6 +105,7 @@ def run_comparison(
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if not gammas:
         raise ValueError("at least one gamma is required")
+    check_initial_field(base_config)
 
     strategies = [
         base_config.strategy,

@@ -12,11 +12,18 @@ import json
 import logging
 import os
 import sys
+import tempfile
 
 import numpy as np
 
 from . import __version__
-from .benchmark import gamma_sweep, profile_and_trace, run_comparison, source_cell
+from .benchmark import (
+    check_initial_field,
+    gamma_sweep,
+    profile_and_trace,
+    run_comparison,
+    source_cell,
+)
 from .config import (
     BENCHMARK_SCENARIO,
     SIM_KEYS,
@@ -208,26 +215,35 @@ def _progress_every(n_steps: int, verbose: bool) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config, _ = _resolve_simulation(args)
     out = _Artifacts(args)
-    # The fields are written after the run, once its history is freed.
-    snapshots: list[tuple[int, np.ndarray]] = []
-    result = run(
-        config,
-        progress_every=_progress_every(config.n_steps, args.verbose),
-        on_snapshot=lambda step_no, field: snapshots.append((step_no, field)),
-    )
-
     j, l = source_cell(config)
-    trace = [(step_no, field[j, l]) for step_no, field in snapshots]
+    trace: list[tuple[int, float]] = []
+    # No snapshot field stays in memory while the run holds its history: the
+    # sink keeps the traced cell's value and appends the field, in C order,
+    # to an unlinked file beside the artifacts.  After the run the snapshot
+    # CSVs are written from that file one field at a time; it is gone on
+    # every exit.
+    with tempfile.TemporaryFile(dir=args.out_dir) as spill:
+
+        def keep(step_no: int, field: np.ndarray) -> None:
+            trace.append((step_no, field[j, l]))
+            field.tofile(spill)
+
+        result = run(
+            config,
+            progress_every=_progress_every(config.n_steps, args.verbose),
+            on_snapshot=keep,
+        )
+        os.makedirs(os.path.join(args.out_dir, "snapshots"), exist_ok=True)
+        spill.seek(0)
+        for step_no, _ in trace:
+            field = np.fromfile(spill, np.float64, config.nx * config.ny)
+            name = os.path.join("snapshots", f"step_{step_no:06d}.csv")
+            write_grid_csv(field.reshape(config.nx, config.ny), out.path(name))
+
     profile, steps, values = profile_and_trace(result.final, (j, l), trace)
     write_grid_csv(result.final, out.path("grid_final.csv"))
     write_profile_csv(profile, out.path("profile.csv"))
     write_trace_csv(steps, values, out.path("trace.csv"))
-
-    snap_dir = os.path.join(args.out_dir, "snapshots")
-    os.makedirs(snap_dir, exist_ok=True)
-    for step_no, field in snapshots:
-        name = os.path.join("snapshots", f"step_{step_no:06d}.csv")
-        write_grid_csv(field, out.path(name))
 
     x = np.arange(config.nx, dtype=np.float64) * config.dx
     write_line_plot(
@@ -250,6 +266,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     config, file_map = _resolve_simulation(args, defaults=BENCHMARK_SCENARIO)
     spec = _resolve_sweep(args, file_map)
+    check_initial_field(config)
     out = _Artifacts(args)
 
     records = run_comparison(

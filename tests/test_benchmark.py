@@ -103,6 +103,16 @@ class TestRunComparison:
         with pytest.raises(ValueError, match="gamma"):
             run_comparison(small_config(), (), (10.0,), (3,))
 
+    @pytest.mark.parametrize("sources", [(), ((5, 5, 0.0),)], ids=["none", "zero"])
+    def test_zero_initial_field_rejected_before_any_run(self, monkeypatch, sources):
+        # A zero field stays zero, so its reference could score nothing.
+        def no_run(config, **kwargs):
+            raise AssertionError("run_comparison ran a strategy")
+
+        monkeypatch.setattr(benchmark_mod, "run", no_run)
+        with pytest.raises(ValueError, match="reference field is identically zero"):
+            run_comparison(small_config(sources=sources), (0.5,), (10.0,), (3,))
+
     def test_comparison_keeps_no_snapshot(self, monkeypatch):
         real_run = benchmark_mod.run
         sinks = []

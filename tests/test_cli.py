@@ -4,6 +4,8 @@ import json
 import os
 import re
 import shlex
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +25,8 @@ from fracgrid.config import (
     build_simulation,
     config_as_dict,
 )
-from fracgrid.csvio import read_grid_csv
-from fracgrid.solver import StabilityWarning
+from fracgrid.csvio import read_grid_csv, write_grid_csv
+from fracgrid.solver import StabilityWarning, run
 
 SIM_FLAGS = [
     "--gamma", "0.8",
@@ -158,6 +160,73 @@ def test_divergent_run_exits_3(tmp_path, capsys):
     )
     assert rc == EXIT_DIVERGED
     assert "diverged at step" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::fracgrid.solver.StabilityWarning")
+def test_diverging_simulate_leaves_no_file(tmp_path, capsys):
+    # Snapshots at steps 0..85 are spilled before step 90 diverges; the
+    # spill goes with the run and no artifact is written.
+    out = tmp_path / "x"
+    rc = main(
+        [
+            "simulate", "--out-dir", str(out),
+            "--gamma", "0.5", "--dt", "1", "--dx", "1", "--alpha", "0.2",
+            "--grid", "9x9", "--steps", "500", "--source", "4,4=1",
+        ]
+    )
+    assert rc == EXIT_DIVERGED
+    assert "diverged at step 90" in capsys.readouterr().err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+def test_snapshot_files_hold_the_fields_of_shorter_runs(tmp_path):
+    # A non-square grid, so an nx/ny mix-up in reading a field back shows.
+    out = tmp_path / "x"
+    argv = [
+        "simulate", "--out-dir", str(out),
+        "--gamma", "0.6", "--dt", "1", "--dx", "10", "--grid", "9x13",
+        "--steps", "12", "--memory", "adaptive:3", "--snapshot-every", "5",
+        "--source", "3,4=10", "--source", "6,9=-4",
+    ]
+    assert main(argv) == EXIT_OK
+    config, _ = cli._resolve_simulation(cli.build_parser().parse_args(argv))
+    assert (config.nx, config.ny) == (9, 13)
+    for step in (0, 5, 10, 12):
+        field = read_grid_csv(str(out / "snapshots" / f"step_{step:06d}.csv"))
+        expected = run(replace(config, n_steps=step)).final.data
+        assert field.tobytes() == expected.tobytes(), step
+    assert (out / "snapshots" / "step_000012.csv").read_bytes() == (
+        out / "grid_final.csv"
+    ).read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text())
+    on_disk = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    assert set(manifest["artifacts"]) | {"manifest.json"} == on_disk
+
+
+def test_simulate_keeps_no_snapshot_field_in_memory(tmp_path):
+    # Deterministic twin of short-100-long's peak_rss_mib: 301 snapshots
+    # cost about what 2 do, where keeping each field would add 299 fields.
+    field = 40 * 40 * 8
+    argv = [
+        "--gamma", "0.75", "--dt", "1", "--dx", "10", "--grid", "40x40",
+        "--steps", "300", "--memory", "short:10", "--source", "20,20=10",
+    ]
+
+    def peak(every):
+        out = tmp_path / f"every{every}"
+        tracemalloc.start()
+        try:
+            rc = main(["simulate", "--out-dir", str(out), *argv, "--snapshot-every", every])
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_OK
+        return top, len(list((out / "snapshots").iterdir()))
+
+    peak("300")
+    (many, n_many), (few, n_few) = peak("1"), peak("300")
+    assert (n_many, n_few) == (301, 2)
+    assert abs(many - few) / field < 10
 
 
 def test_schedule_stdout_golden(capsys):
@@ -309,6 +378,27 @@ def test_stability_warning_names_the_code_that_ran(tmp_path, argv, module):
         assert main([*argv, "--out-dir", str(tmp_path / "x")]) == EXIT_OK
     assert {str(w.message) for w in caught} == {WARNING_AT_HALF}
     assert {w.filename for w in caught} == {module.__file__}
+
+
+@pytest.mark.parametrize("form", ["initial-grid", "zero-source"])
+def test_benchmark_rejects_a_zero_field_before_any_side_effect(tmp_path, capsys, form):
+    if form == "initial-grid":
+        zeros = tmp_path / "zeros.csv"
+        write_grid_csv(np.zeros((7, 7)), str(zeros))
+        field = ["--initial-grid", str(zeros)]
+    else:
+        field = ["--grid", "7x7", "--source", "3,3=0"]
+    out = tmp_path / "x"
+    rc = main(
+        [
+            "benchmark", "--out-dir", str(out), *field,
+            "--steps", "5", "--dx", "10", "--dt", "1",
+            "--short-lengths", "2", "--adaptive-bases", "2",
+        ]
+    )
+    assert rc == EXIT_CONFIG
+    assert "reference field is identically zero" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_benchmark_rejects_bad_sweep(tmp_path, capsys):
