@@ -7,6 +7,7 @@ diverges, 4 for I/O failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime as _dt
 import json
 import logging
@@ -17,13 +18,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .benchmark import (
-    check_initial_field,
-    gamma_sweep,
-    profile_and_trace,
-    run_comparison,
-    source_cell,
-)
+from .benchmark import gamma_sweep, profile_and_trace, run_comparison, source_cell
 from .config import (
     BENCHMARK_SCENARIO,
     SIM_KEYS,
@@ -266,7 +261,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     config, file_map = _resolve_simulation(args, defaults=BENCHMARK_SCENARIO)
     spec = _resolve_sweep(args, file_map)
-    check_initial_field(config)
     out = _Artifacts(args)
 
     records = run_comparison(
@@ -402,17 +396,27 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(message)s",
         stream=sys.stderr,
     )
+    # --out-dir and each of its ancestors that does not exist yet, deepest first.
+    made = []
+    path = os.path.abspath(args.out_dir) if args.out_dir else None
+    while path and not os.path.lexists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     try:
         return args.handler(args)
     except DivergenceError as exc:
-        print(f"fracgrid: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        code, message = EXIT_DIVERGED, exc
     except (ConfigError, ValueError) as exc:
-        print(f"fracgrid: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, message = EXIT_CONFIG, exc
     except OSError as exc:
-        print(f"fracgrid: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, message = EXIT_IO, exc
+    print(f"fracgrid: {message}", file=sys.stderr)
+    # A failed command leaves none of those directories behind empty; one
+    # that existed before it is never touched.
+    for path in made:
+        with contextlib.suppress(OSError):
+            os.rmdir(path)
+    return code
 
 
 if __name__ == "__main__":

@@ -9,11 +9,9 @@ almost nothing to rounding for moderate m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .schedule import MemorySchedule
+from .schedule import MemorySchedule, cell_bounds
 
 
 def checked_gamma(gamma: float) -> float:
@@ -24,7 +22,6 @@ def checked_gamma(gamma: float) -> float:
     return gamma
 
 
-@dataclass(frozen=True)
 class PsiTable:
     """Precomputed weights psi(gamma, m) for every m from 0 to ``capacity``.
 
@@ -37,24 +34,20 @@ class PsiTable:
     across all steps, which weigh their schedules with :meth:`coefficients`.
     """
 
-    gamma: float
-    values: np.ndarray
-    prefix: np.ndarray = field(init=False, repr=False, compare=False)
-    reversed_values: np.ndarray = field(init=False, repr=False, compare=False)
-    _memo: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 1 or self.values.size < 1:
+    def __init__(self, gamma: float, values: np.ndarray) -> None:
+        if values.ndim != 1 or values.size < 1:
             raise ValueError("psi table must be a non-empty 1D array")
-        self.values.setflags(write=False)
-        prefix = np.zeros(self.values.size + 1, dtype=np.float64)
-        np.cumsum(self.values, out=prefix[1:])
+        values.setflags(write=False)
+        prefix = np.zeros(values.size + 1, dtype=np.float64)
+        np.cumsum(values, out=prefix[1:])
         prefix.setflags(write=False)
-        object.__setattr__(self, "prefix", prefix)
-        reversed_values = self.values[::-1].copy()
+        reversed_values = values[::-1].copy()
         reversed_values.setflags(write=False)
-        object.__setattr__(self, "reversed_values", reversed_values)
-        object.__setattr__(self, "_memo", {})
+        self.gamma = gamma
+        self.values = values
+        self.prefix = prefix
+        self.reversed_values = reversed_values
+        self._memo: dict = {}
 
     @property
     def capacity(self) -> int:
@@ -67,13 +60,12 @@ class PsiTable:
         Returns one read-only C-contiguous array per run of ``schedule`` in
         storage order, oldest entry (the run's largest offset) first, which
         is the order the history keeps its fields in.  Each entry gets the
-        sum of psi(x) over its cell (see :class:`MemorySchedule`), read off
-        ``prefix`` with one strided slice per run: inside a run the cells
-        start ``stride`` offsets apart, and the run's span supplies its outer
-        bounds.  An entry whose cell is just its own offset m gets psi(m)
-        itself, bit for bit, so full and short memory and any schedule that
-        visits every offset weigh history exactly alike; a dense run of unit
-        cells is a view of ``reversed_values``, never a copy.
+        psi mass of its cell, between two :func:`~fracgrid.schedule.cell_bounds`
+        ``start <= x < end``: ``values[start]`` itself for a one-offset cell,
+        ``prefix[end] - prefix[start]`` for a wider one.  So full and short
+        memory and any schedule that visits every offset weigh history
+        exactly alike, bit for bit; a dense run of unit cells is a view of
+        ``reversed_values``, never a copy.
 
         A run's coefficients depend only on the run and its span.  The table
         keeps the thinned runs of the last schedule it weighed and computes
@@ -97,26 +89,13 @@ class PsiTable:
                 continue
             coeffs = memo.get(key)
             if coeffs is None:
-                # Cell bounds, oldest first: hi, the start of every cell but
-                # the newest, then lo.
-                half = (stride - 1) // 2
-                mass = np.empty(count + 1)
-                mass[0] = prefix[hi]
-                mass[1:-1] = prefix[m + stride - half : m + count * stride - half : stride][::-1]
-                mass[-1] = prefix[lo]
-                coeffs = mass[:-1] - mass[1:]
-                if stride == 1:
-                    coeffs[1:-1] = rev[cap - last + 1 : cap - m]
-                first_end = hi if count == 1 else m + stride - half
-                last_start = lo if count == 1 else last - half
-                if first_end - lo == 1:
-                    coeffs[-1] = values[m]
-                if hi - last_start == 1:
-                    coeffs[0] = values[last]
+                bounds = cell_bounds(*key)
+                end, start = bounds[:-1], bounds[1:]
+                coeffs = np.where(end - start == 1, values[start], prefix[end] - prefix[start])
                 coeffs.setflags(write=False)
             fresh[key] = coeffs
             out.append(coeffs)
-        object.__setattr__(self, "_memo", fresh)
+        self._memo = fresh
         return out
 
 

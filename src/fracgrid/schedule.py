@@ -15,10 +15,8 @@ and its dense tail.  Offsets, weights and pairs are derived from the runs.
 
 Coefficient rule: every entry stands for a *cell* of consecutive offsets that
 contains its own offset, and the solver weighs the stored field at m by the
-sum of psi over that cell (psi(m) itself when the cell is just {m}).  The
-cell is the entry's centred window of w offsets; where two neighbouring
-windows leave a gap or overlap (the joins between the runs), the offsets
-between the two samples go to the nearer one instead.  The cells of a
+sum of psi over that cell.  :func:`cell_bounds` places a run's cells; the
+:class:`MemorySchedule` spans settle the joins between runs.  The cells of a
 geometric schedule therefore tile 0..k exactly, and its coefficients sum to
 the full-memory weight mass.
 """
@@ -47,10 +45,8 @@ class MemorySchedule:
 
     A weight-w entry at offset m declares that it stands in for the w
     consecutive offsets centred on m (its window, which :func:`coverage_report`
-    accounts for), and the solver weighs it by the psi mass of its *cell*.
-    Inside a run, entry j's cell starts at ``m_j - (stride - 1) // 2``, where
-    its window starts, so the cells there are ``stride`` offsets wide and
-    meet (as the windows do for the odd strides the builders use).
+    accounts for), and the solver weighs it by the psi mass of its *cell*;
+    :func:`cell_bounds` places a run's cells inside its span.
     ``spans[r] = (lo, hi)`` is the cell range
     ``lo <= x < hi`` of run r as a whole: at a join whose windows meet the
     shared bound is kept; where they leave a gap or overlap, the offsets
@@ -155,13 +151,11 @@ def short_schedule(k: int, length: float, dt: float) -> MemorySchedule:
     """Offsets 0..min(:func:`short_horizon`, k) with unit weight."""
     k = _checked_step(k)
     horizon = short_horizon(length, dt)
-    return MemorySchedule(((0, k + 1, 1),)) if k < horizon else _steady_short_schedule(horizon)
+    return full_schedule(k) if k < horizon else _steady_short_schedule(horizon)
 
 
-@functools.lru_cache(maxsize=64)
-def _steady_short_schedule(horizon: int) -> MemorySchedule:
-    """Offsets 0..horizon: short memory's schedule at every step k >= horizon."""
-    return MemorySchedule(((0, horizon + 1, 1),))
+# Short memory's schedule at every step k >= horizon is full_schedule(horizon).
+_steady_short_schedule = functools.lru_cache(maxsize=64)(full_schedule)
 
 
 def adaptive_schedule(k: int, base: int) -> MemorySchedule:
@@ -212,6 +206,23 @@ def adaptive_schedule(k: int, base: int) -> MemorySchedule:
     if tail_start <= k:
         runs.append((tail_start, k - tail_start + 1, 1))
     return MemorySchedule(tuple(runs))
+
+
+def cell_bounds(run: tuple[int, int, int], span: tuple[int, int]) -> np.ndarray:
+    """The ``count + 1`` cell bounds of ``run`` inside ``span``, oldest first.
+
+    They are the span's end, the start of every cell but the newest, then the
+    span's start, so the entry stored i-th, oldest first, stands for the
+    offsets ``bounds[i + 1] <= x < bounds[i]``.  A cell starts where its
+    entry's window starts, ``(stride - 1) // 2`` offsets below the entry, so
+    inside a run the cells are ``stride`` offsets wide and meet; the spans
+    settle the joins between runs (see :class:`MemorySchedule`).
+    """
+    m, count, stride = run
+    start = m - (stride - 1) // 2
+    bounds = np.arange(start + count * stride, start - 1, -stride)
+    bounds[0], bounds[-1] = span[1], span[0]
+    return bounds
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,14 @@ Each step advances the field by
     u_next = u * (1 - beta * dt) + alpha * dt**gamma / dx**2 * S_k
 
 where S_k is the weighted backward sum of stored stencil fields dictated by
-the active memory schedule.  :meth:`PsiTable.coefficients` turns each run
-of the schedule into its coefficients, stored oldest first like the history
-itself, and :meth:`HistoryBuffer.weighted_sum` contracts them with the
-stored fields in storage order.  A dense run's coefficients are a slice of
-the psi table kept in that order, so no step reverses or copies them, and a
-schedule that visits every offset reproduces the full-memory result bit for
-bit.
+the active memory schedule.  :meth:`PsiTable.coefficients` weighs each run
+of the schedule by the psi mass of its cells (placed by
+:func:`~fracgrid.schedule.cell_bounds`), stored oldest first like the
+history itself, and :meth:`HistoryBuffer.weighted_sum` contracts them with
+the stored fields in storage order.  A dense run's coefficients are a slice
+of the psi table kept in that order, so no step reverses or copies them, and
+a schedule that visits every offset reproduces the full-memory result bit
+for bit.
 
 Besides the contraction a step costs a fixed few passes over one field,
 whatever the strategy: the update scales the contraction's fresh result in
@@ -201,11 +202,11 @@ def history_sum(
 ) -> np.ndarray:
     """Weighted backward sum  S_k = sum over entries (m, cell) of  c * delta[k - m].
 
-    The coefficient c of the entry at offset m is the sum of psi over the
-    offsets its cell stands for (:meth:`PsiTable.coefficients`): psi(m) for a
-    unit cell, and for a thinned entry the psi mass of the run of
-    neighbouring steps it replaces, so a schedule whose cells tile 0..k
-    carries the full-memory weight mass.
+    The coefficient c of the entry at offset m is the psi mass of its cell
+    (:func:`~fracgrid.schedule.cell_bounds`, weighed by
+    :meth:`PsiTable.coefficients`): psi(m) for a unit cell, and for a thinned
+    entry the psi mass of the run of neighbouring steps it replaces, so a
+    schedule whose cells tile 0..k carries the full-memory weight mass.
 
     ``history`` holds one stencil field per completed step, so offset m maps
     to buffer entry k - m; :meth:`HistoryBuffer.weighted_sum` contracts the

@@ -142,10 +142,18 @@ def test_manifest_records_the_snapshot_cadence_used(tmp_path):
     assert not (out / "snapshots" / "step_000002.csv").exists()
 
 
-def test_memory_cap_too_small(tmp_path, capsys):
-    rc = run_simulate(tmp_path / "x", ["--memory-cap", "64"])
+@pytest.mark.parametrize(
+    "command,cap", [("simulate", "64"), ("simulate", "10"), ("benchmark", "10")]
+)
+def test_memory_cap_too_small(tmp_path, capsys, command, cap):
+    # The cap is checked as the first run starts, after --out-dir was made;
+    # the failed command leaves no directory behind.
+    out = tmp_path / "x"
+    flags = SIM_FLAGS if command == "simulate" else BENCH_FLAGS
+    rc = main([command, "--out-dir", str(out), *flags, "--memory-cap", cap])
     assert rc == EXIT_CONFIG
-    assert "fracgrid:" in capsys.readouterr().err
+    assert "over the cap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::fracgrid.solver.StabilityWarning")
@@ -162,21 +170,43 @@ def test_divergent_run_exits_3(tmp_path, capsys):
     assert "diverged at step" in capsys.readouterr().err
 
 
+DIVERGING_AT_90 = [
+    "--dt", "1", "--dx", "1", "--alpha", "0.2", "--grid", "9x9", "--steps", "500",
+    "--source", "4,4=1",
+]
+
+
 @pytest.mark.filterwarnings("ignore::fracgrid.solver.StabilityWarning")
 def test_diverging_simulate_leaves_no_file(tmp_path, capsys):
     # Snapshots at steps 0..85 are spilled before step 90 diverges; the
-    # spill goes with the run and no artifact is written.
+    # spill goes with the run, no artifact is written and the directory the
+    # command made is removed.
     out = tmp_path / "x"
-    rc = main(
-        [
-            "simulate", "--out-dir", str(out),
-            "--gamma", "0.5", "--dt", "1", "--dx", "1", "--alpha", "0.2",
-            "--grid", "9x9", "--steps", "500", "--source", "4,4=1",
-        ]
-    )
+    rc = main(["simulate", "--out-dir", str(out), "--gamma", "0.5", *DIVERGING_AT_90])
     assert rc == EXIT_DIVERGED
     assert "diverged at step 90" in capsys.readouterr().err
-    assert [p for p in out.rglob("*") if p.is_file()] == []
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::fracgrid.solver.StabilityWarning")
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--gamma", "0.5"], ["sweep-gamma", "--gammas", "0.5"]],
+    ids=["simulate", "sweep-gamma"],
+)
+def test_failed_command_removes_only_the_directories_it_made(tmp_path, capsys, command):
+    argv = [*command, *DIVERGING_AT_90]
+    # a nested --out-dir: neither level existed, so neither is left
+    assert main([*argv, "--out-dir", str(tmp_path / "a" / "b")]) == EXIT_DIVERGED
+    assert "diverged at step 90" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # an empty --out-dir that existed before the command survives it
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main([*argv, "--out-dir", str(kept / "c")]) == EXIT_DIVERGED
+    assert main([*argv, "--out-dir", str(kept)]) == EXIT_DIVERGED
+    assert list(tmp_path.iterdir()) == [kept]
+    assert list(kept.iterdir()) == []
 
 
 def test_snapshot_files_hold_the_fields_of_shorter_runs(tmp_path):

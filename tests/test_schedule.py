@@ -13,6 +13,7 @@ from fracgrid.schedule import (
     MemorySchedule,
     ShortMemory,
     adaptive_schedule,
+    cell_bounds,
     coverage_report,
     format_memory_spec,
     full_schedule,
@@ -103,13 +104,13 @@ def test_coverage_golden_gap_case():
 def _cells(sched):
     """Cell bounds entry by entry: entry j stands for cells[j] <= x < cells[j+1].
 
-    Rebuilt from the runs and their spans: inside a run a cell starts
-    (stride - 1) // 2 before its offset, and the spans give the run's ends.
+    The program's own rule: each run's :func:`cell_bounds`, newest first.
     """
     cells = []
-    for (m, count, stride), (lo, _) in zip(sched.runs, sched.spans):
-        cells.append(lo)
-        cells.extend(m + j * stride - (stride - 1) // 2 for j in range(1, count))
+    for run, span in zip(sched.runs, sched.spans):
+        bounds = cell_bounds(run, span)
+        assert bounds.size == run[1] + 1 and (bounds[0], bounds[-1]) == (span[1], span[0])
+        cells.extend(bounds[:0:-1].tolist())
     cells.append(sched.spans[-1][1])
     return cells
 
