@@ -143,7 +143,7 @@ def _resolve_simulation(args: argparse.Namespace, *, defaults=None):
             )
         field = read_grid_csv(args.initial_grid)
         nz = np.argwhere(field != 0.0)
-        over["grid"] = f"{field.shape[0]}x{field.shape[1]}"
+        over["grid"] = field.shape
         over["sources"] = tuple(
             (int(j), int(l), float(field[j, l])) for j, l in nz
         )

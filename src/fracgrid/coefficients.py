@@ -25,8 +25,9 @@ def checked_gamma(gamma: float) -> float:
 class PsiTable:
     """Precomputed weights psi(gamma, m) for every m from 0 to ``capacity``.
 
-    ``values[m]`` holds psi(gamma, m) and ``prefix[x]`` the running sum of
-    ``values[:x]``, so the psi mass of offsets lo..hi-1 is
+    The table holds the weights alone, not gamma, which stays on the run's
+    config.  ``values[m]`` holds psi(gamma, m) and ``prefix[x]`` the running
+    sum of ``values[:x]``, so the psi mass of offsets lo..hi-1 is
     ``prefix[hi] - prefix[lo]``.  ``reversed_values`` is ``values`` oldest
     offset first, the order the history stores its fields in:
     ``reversed_values[capacity - m]`` is psi(gamma, m).  All three arrays
@@ -34,7 +35,7 @@ class PsiTable:
     across all steps, which weigh their schedules with :meth:`coefficients`.
     """
 
-    def __init__(self, gamma: float, values: np.ndarray) -> None:
+    def __init__(self, values: np.ndarray) -> None:
         if values.ndim != 1 or values.size < 1:
             raise ValueError("psi table must be a non-empty 1D array")
         values.setflags(write=False)
@@ -43,7 +44,6 @@ class PsiTable:
         prefix.setflags(write=False)
         reversed_values = values[::-1].copy()
         reversed_values.setflags(write=False)
-        self.gamma = gamma
         self.values = values
         self.prefix = prefix
         self.reversed_values = reversed_values
@@ -106,7 +106,8 @@ def build_table(gamma: float, n_steps: int) -> PsiTable:
 
         psi(gamma, m) = -psi(gamma, m - 1) * (2 - gamma - m) / m,
 
-    with gamma in (0, 1].  The table is filled by one sequential pass.
+    with gamma in (0, 1].  The table is filled by one sequential pass and does
+    not keep gamma.
     """
     gamma = checked_gamma(gamma)
     n_steps = int(n_steps)
@@ -118,5 +119,5 @@ def build_table(gamma: float, n_steps: int) -> PsiTable:
     for m in range(1, n_steps + 1):
         value = -value * (2.0 - gamma - m) / m
         values[m] = value
-    return PsiTable(gamma=gamma, values=values)
+    return PsiTable(values)
 

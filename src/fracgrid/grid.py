@@ -27,11 +27,11 @@ class Grid2D:
 
     The first axis indexes x (column j), the second y (row l).  The boundary
     ring is required to be exactly zero: the scheme treats the domain edge as
-    an absorbing wall and never updates it.
+    an absorbing wall and never updates it.  The grid holds the field alone;
+    its spacing is the run's ``SimulationConfig.dx``.
     """
 
     data: np.ndarray
-    dx: float
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=np.float64)
@@ -39,15 +39,12 @@ class Grid2D:
             raise ValueError(f"grid data must be 2D, got shape {data.shape}")
         if data.shape[0] < 3 or data.shape[1] < 3:
             raise ValueError(f"grid must be at least 3x3, got {data.shape}")
-        if not float(self.dx) > 0.0 or not np.isfinite(self.dx):
-            raise ValueError(f"dx must be a positive finite number, got {self.dx!r}")
         if not np.isfinite(data).all():
             raise ValueError("grid contains non-finite values")
         ring = (data[0, :], data[-1, :], data[:, 0], data[:, -1])
         if any(np.any(edge != 0.0) for edge in ring):
             raise ValueError("boundary ring must be exactly zero")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "dx", float(self.dx))
         data.setflags(write=False)
 
     @property
@@ -60,11 +57,7 @@ class Grid2D:
 
     @classmethod
     def from_sources(
-        cls,
-        nx: int,
-        ny: int,
-        dx: float,
-        sources: Iterable[tuple[int, int, float]] = (),
+        cls, nx: int, ny: int, sources: Iterable[tuple[int, int, float]] = ()
     ) -> "Grid2D":
         """Zero grid of shape (nx, ny) with point sources assigned into it.
 
@@ -79,7 +72,7 @@ class Grid2D:
             j, l = int(j), int(l)
             check_interior_source(j, l, nx, ny)
             data[j, l] = float(value)
-        return cls(data=data, dx=dx)
+        return cls(data)
 
 
 def check_interior_source(j: int, l: int, nx: int, ny: int) -> None:

@@ -181,7 +181,7 @@ class SimulationConfig:
         return max(1, math.ceil(self.n_steps / 100))
 
     def initial_grid(self) -> Grid2D:
-        return Grid2D.from_sources(self.nx, self.ny, self.dx, self.sources)
+        return Grid2D.from_sources(self.nx, self.ny, self.sources)
 
 
 @dataclass(frozen=True)
@@ -319,7 +319,7 @@ def run(
 
     return SimulationResult(
         config=config,
-        final=Grid2D(u, config.dx),
+        final=Grid2D(u),
         elapsed_seconds=elapsed,
         history_bytes=history.nbytes,
     )

@@ -39,25 +39,25 @@ def small_config(**kwargs):
 
 class TestRelativeError:
     def test_identical(self):
-        grid = Grid2D.from_sources(5, 5, 1.0, [(2, 2, 3.0)])
+        grid = Grid2D.from_sources(5, 5, [(2, 2, 3.0)])
         assert relative_error(grid, grid) == (0.0, 0.0)
 
     def test_proportional(self):
-        ref = Grid2D.from_sources(5, 5, 1.0, [(2, 2, 3.0), (1, 2, 1.0)])
-        approx = Grid2D(ref.data * 1.01, 1.0)
+        ref = Grid2D.from_sources(5, 5, [(2, 2, 3.0), (1, 2, 1.0)])
+        approx = Grid2D(ref.data * 1.01)
         err_l2, err_linf = relative_error(approx, ref)
         assert err_l2 == pytest.approx(1.0, rel=1e-12)
         assert err_linf == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_reference_rejected(self):
-        zero = Grid2D(np.zeros((4, 4)), 1.0)
-        other = Grid2D.from_sources(4, 4, 1.0, [(1, 1, 1.0)])
+        zero = Grid2D(np.zeros((4, 4)))
+        other = Grid2D.from_sources(4, 4, [(1, 1, 1.0)])
         with pytest.raises(ValueError, match="zero"):
             relative_error(other, zero)
 
     def test_shape_mismatch(self):
-        a = Grid2D(np.zeros((4, 4)), 1.0)
-        b = Grid2D(np.zeros((5, 5)), 1.0)
+        a = Grid2D(np.zeros((4, 4)))
+        b = Grid2D(np.zeros((5, 5)))
         with pytest.raises(ValueError, match="shape"):
             relative_error(a, b)
 

@@ -92,6 +92,6 @@ def test_table_is_read_only():
 
 def test_table_validation():
     with pytest.raises(ValueError):
-        PsiTable(gamma=0.5, values=np.zeros((2, 2)))
+        PsiTable(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         build_table(0.5, -1)

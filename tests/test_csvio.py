@@ -142,7 +142,7 @@ def test_grid_csv_of_a_solved_field_is_unchanged(tmp_path):
 
 def test_grid_csv_zero_grid(tmp_path):
     path = tmp_path / "zero.csv"
-    write_grid_csv(Grid2D(np.zeros((3, 3)), 1.0), str(path))
+    write_grid_csv(Grid2D(np.zeros((3, 3))), str(path))
     assert path.read_bytes() == b"0,0,0\n0,0,0\n0,0,0\n"
 
 

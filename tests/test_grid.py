@@ -99,29 +99,27 @@ def test_stencil_rejects_small_grids():
 
 def test_grid_validation():
     with pytest.raises(ValueError, match="2D"):
-        Grid2D(data=np.zeros(4), dx=1.0)
+        Grid2D(data=np.zeros(4))
     with pytest.raises(ValueError, match="at least 3x3"):
-        Grid2D(data=np.zeros((2, 2)), dx=1.0)
-    with pytest.raises(ValueError, match="dx"):
-        Grid2D(data=np.zeros((3, 3)), dx=0.0)
+        Grid2D(data=np.zeros((2, 2)))
     bad = np.zeros((4, 4))
     bad[1, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        Grid2D(data=bad, dx=1.0)
+        Grid2D(data=bad)
     ring = np.zeros((4, 4))
     ring[0, 2] = 1.0
     with pytest.raises(ValueError, match="boundary ring"):
-        Grid2D(data=ring, dx=1.0)
+        Grid2D(data=ring)
 
 
 def test_grid_is_read_only():
-    grid = Grid2D.from_sources(5, 5, 1.0, [(2, 2, 1.0)])
+    grid = Grid2D.from_sources(5, 5, [(2, 2, 1.0)])
     with pytest.raises(ValueError):
         grid.data[2, 2] = 5.0
 
 
 def test_from_sources_placement():
-    grid = Grid2D.from_sources(5, 6, 2.0, [(2, 3, 1.5), (1, 1, -0.5)])
+    grid = Grid2D.from_sources(5, 6, [(2, 3, 1.5), (1, 1, -0.5)])
     assert grid.nx == 5 and grid.ny == 6
     assert grid.data[2, 3] == 1.5
     assert grid.data[1, 1] == -0.5
@@ -130,9 +128,9 @@ def test_from_sources_placement():
 
 def test_from_sources_rejects_boundary():
     with pytest.raises(ValueError, match=r"^source \(0, 2\) is outside the interior of a 5x5 grid$"):
-        Grid2D.from_sources(5, 5, 1.0, [(0, 2, 1.0)])
+        Grid2D.from_sources(5, 5, [(0, 2, 1.0)])
     with pytest.raises(ValueError, match="interior"):
-        Grid2D.from_sources(5, 5, 1.0, [(2, 4, 1.0)])
+        Grid2D.from_sources(5, 5, [(2, 4, 1.0)])
 
 
 def test_laplacian_field_matches_stencil():
@@ -140,7 +138,7 @@ def test_laplacian_field_matches_stencil():
     rng = np.random.default_rng(3)
     data = np.zeros((6, 5))
     data[1:-1, 1:-1] = rng.normal(size=(4, 3))
-    grid = Grid2D(data, 1.0)
+    grid = Grid2D(data)
     expected = np.zeros_like(data)
     for j in range(1, 5):
         for l in range(1, 4):
@@ -169,7 +167,7 @@ def test_flat_stencil_reads_a_non_contiguous_view(slice_stencil):
 
 
 def test_slice_profile():
-    grid = Grid2D.from_sources(5, 5, 1.0, [(2, 3, 7.0)])
+    grid = Grid2D.from_sources(5, 5, [(2, 3, 7.0)])
     profile = slice_profile(grid, 3)
     assert profile.tolist() == [0.0, 0.0, 7.0, 0.0, 0.0]
     profile[2] = 0.0  # a copy, not a view

@@ -258,6 +258,26 @@ def test_adaptive_structure_property(a):
             assert len(sched) < k + 1
 
 
+@pytest.mark.parametrize("a", [2, 3, 4, 5, 8, 12, 20, 40, 100])
+def test_adaptive_step_adds_at_most_two_runs(a):
+    # A step's schedule shares all but at most two (run, span) pairs with the
+    # previous step's, so a plan built step by step from the last one changes
+    # little.  Base 2 alone adds three, at k = 5 and k = 9.
+    def keyed(k):
+        sched = adaptive_schedule(k, a)
+        return set(zip(sched.runs, sched.spans))
+
+    previous = keyed(0)
+    over_two = []
+    for k in range(1, 5000):
+        current = keyed(k)
+        new = len(current - previous)
+        if new > 2:
+            over_two.append((k, new))
+        previous = current
+    assert over_two == ([(5, 3), (9, 3)] if a == 2 else [])
+
+
 def _coefficients(sched, table):
     """Every entry's coefficient in offset order, as one array."""
     return np.concatenate([c[::-1] for c in table.coefficients(sched)])

@@ -680,7 +680,7 @@ def test_coefficient_memo_reuses_unchanged_runs_bitwise(base):
     for k in range(1500):
         schedule = strategy.schedule_at(k, 1.0)
         kept = table.coefficients(schedule)
-        fresh = PsiTable(gamma=table.gamma, values=table.values).coefficients(schedule)
+        fresh = PsiTable(table.values).coefficients(schedule)
         assert len(kept) == len(fresh) == len(schedule.runs)
         keys = list(zip(schedule.runs, schedule.spans))
         for key, a, b in zip(keys, kept, fresh):
