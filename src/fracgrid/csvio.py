@@ -21,7 +21,9 @@ text:
   least two exponent digits.
 - Tables are formatted whole rows at a time, at most :data:`_CHUNK_VALUES`
   values per pass (or one longer row), so the temporaries stay a few MB
-  whatever the grid size.
+  whatever the grid size.  A table of fewer than
+  :data:`_SHORT_TABLE_VALUES` values (a profile or a trace) is written
+  through :func:`format_float` instead, which is faster at that size.
 - A non-finite entry takes its text from :func:`format_float`.
 """
 
@@ -46,6 +48,12 @@ BENCHMARK_HEADER = ("strategy", "param", "gamma", "elapsed_s", "err_l2_pct", "er
 
 # Values formatted per pass; each takes about 350 bytes of temporaries.
 _CHUNK_VALUES = 1 << 14
+
+# A table of fewer values than this is written value by value through
+# format_float: the bulk pass costs about 100 NumPy calls whatever its size,
+# and on a 2-column table it breaks even with the per-value writer near 300
+# values.
+_SHORT_TABLE_VALUES = 256
 
 
 def format_float(x: float) -> str:
@@ -295,6 +303,10 @@ def _write_table(path: str, table: np.ndarray) -> None:
     with open(path, "wb") as fh:
         if not cols:
             fh.write(b"\n" * rows)
+            return
+        if table.size < _SHORT_TABLE_VALUES:
+            lines = (",".join(map(format_float, row)) + "\n" for row in table.tolist())
+            fh.write("".join(lines).encode())
             return
         step = max(1, _CHUNK_VALUES // cols)
         for start in range(0, rows, step):

@@ -12,6 +12,9 @@ import numpy as np
 # silently reach tens of gigabytes without a cap.
 DEFAULT_HISTORY_BYTE_CAP = 4 * 1024**3
 
+# Doubles per stored history row are a multiple of this (see HistoryBuffer).
+_ROW_DOUBLES = 8
+
 
 class MemoryBudgetError(ValueError):
     """History storage for the requested run would exceed the byte cap."""
@@ -125,14 +128,22 @@ class HistoryBuffer:
 
     ``capacity`` is the number of entries a run may append; the buffer keeps
     the newest ``window`` of them readable (all of them when ``window`` is
-    None).  It allocates ``min(window, capacity)`` fields and keeps entry e
-    in slot e modulo that count: short memory of horizon L stores exactly the
+    None).  It allocates ``min(window, capacity)`` rows and keeps entry e
+    in row e modulo that count: short memory of horizon L stores exactly the
     W = L/dt + 1 fields it can reach, and full and adaptive memory, whose
     window is the whole run, store one field per step and never wrap.  An
-    append writes one field and moves nothing.
+    append writes one row and moves nothing.
 
-    :meth:`weighted_sum` contracts the stored fields with a schedule's
-    coefficients.  A run of entries whose slots do not wrap is one basic
+    A row holds a field's interior alone, ``field[1:-1, 1:-1]`` in C order,
+    followed by zeros up to a multiple of 8 doubles.  The boundary ring of
+    every stencil field is zero, so it is not stored, and :meth:`append`
+    refuses a field whose ring is not.  The pad keeps the contraction's bits
+    independent of the BLAS thread count: with every row a whole number of
+    vector widths, OpenBLAS takes each cell through the same vector loop on
+    any split of the cells between threads.
+
+    :meth:`weighted_sum` contracts the stored rows with a schedule's
+    coefficients.  A run of entries whose rows do not wrap is one basic
     slice, read in place by :meth:`block` and :meth:`gather`.  The
     allocation is checked against a byte cap before any memory is committed,
     so appends never reallocate mid-run.  Entries are exposed read-only: the
@@ -153,15 +164,26 @@ class HistoryBuffer:
         window = capacity if window is None else int(window)
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        slots = min(window, capacity)
         nx, ny = int(shape[0]), int(shape[1])
-        needed = slots * nx * ny * np.dtype(np.float64).itemsize
+        if nx < 3 or ny < 3:
+            raise ValueError(f"history fields must be at least 3x3, got {nx}x{ny}")
+        slots = min(window, capacity)
+        cells = (nx - 2) * (ny - 2)
+        row = -(-cells // _ROW_DOUBLES) * _ROW_DOUBLES
+        needed = slots * row * np.dtype(np.float64).itemsize
         if byte_cap is not None and needed > byte_cap:
             raise MemoryBudgetError(
                 f"history of {slots} fields of shape {nx}x{ny} needs "
                 f"{needed} bytes, over the cap of {byte_cap}"
             )
-        self._data = np.empty((slots, nx, ny), dtype=np.float64)
+        self._data = np.zeros((slots, row), dtype=np.float64)
+        # Each row's interior cells as an (nx - 2, ny - 2) view, for append.
+        self._interiors = self._data[:, :cells].reshape(slots, nx - 2, ny - 2)
+        # Flat indices of a field's boundary ring, checked by append.
+        ring = np.ones((nx, ny), dtype=bool)
+        ring[1:-1, 1:-1] = False
+        self._ring = np.flatnonzero(ring)
+        self._shape = (nx, ny)
         self._capacity = capacity
         self._len = 0
 
@@ -175,25 +197,31 @@ class HistoryBuffer:
 
     @property
     def nbytes(self) -> int:
-        """Bytes allocated for the stored fields."""
+        """Bytes allocated for the stored rows, pad included."""
         return self._data.nbytes
 
     @property
     def field_shape(self) -> tuple[int, int]:
-        return self._data.shape[1], self._data.shape[2]
+        """Shape of an appended field, boundary ring included."""
+        return self._shape
 
     def append(self, field: np.ndarray) -> None:
-        """Record the stencil field of the step just completed."""
+        """Record the interior of the stencil field of the step just completed."""
         if self._len >= self._capacity:
             raise HistoryCapacityError(
                 f"buffer holds {self._capacity} entries and is full"
             )
         field = np.asarray(field, dtype=np.float64)
-        if field.shape != self.field_shape:
+        if field.shape != self._shape:
             raise ValueError(
-                f"field shape {field.shape} does not match buffer shape {self.field_shape}"
+                f"field shape {field.shape} does not match buffer shape {self._shape}"
             )
-        self._data[self._len % len(self._data)] = field
+        # One gather of the ring; a nan counts as nonzero.
+        if np.count_nonzero(field.take(self._ring)):
+            raise ValueError(
+                "boundary ring must be exactly zero; the history stores interiors only"
+            )
+        self._interiors[self._len % len(self._data)] = field[1:-1, 1:-1]
         self._len += 1
 
     def _check(self, lo: int, hi: int) -> None:
@@ -219,11 +247,11 @@ class HistoryBuffer:
         return view
 
     def block(self, lo: int, hi: int) -> np.ndarray:
-        """Read-only contiguous view of entries lo..hi inclusive."""
+        """Read-only contiguous view of the rows of entries lo..hi inclusive."""
         return self._view(int(lo), int(hi), 1)
 
     def gather(self, lo: int, hi: int, stride: int) -> np.ndarray:
-        """Read-only strided view of entries lo, lo + stride, ..., hi.
+        """Read-only strided view of the rows of entries lo, lo + stride, ..., hi.
 
         This is a basic slice of the buffer, so no entry is copied.  ``stride``
         must divide ``hi - lo``, so that the run ends exactly at ``hi``.
@@ -244,13 +272,14 @@ class HistoryBuffer:
         ``coefficients`` one array per run, oldest entry (largest offset)
         first, which is the order the entries are stored in.  Each run is one
         matrix-vector product of its coefficients with a view of the buffer,
-        read in place as a (count, nx*ny) matrix whose rows are contiguous; a
+        read in place as a (count, row) matrix whose rows are contiguous; a
         one-entry run is a scalar multiply.  The partial sums are added in
-        run order.
+        run order, and the sum's interior is copied into a zeroed field, so
+        its boundary ring is +0.
 
         A single dense run from offset 0, the newest c = count entries, is
-        read as it is stored: one block when its slots do not wrap, and when
-        they do and the window fills the ring, the whole ring in slot order
+        read as it is stored: one block when its rows do not wrap, and when
+        they do and the window fills the ring, the whole ring in row order
         with the coefficients rotated to match.  A window that wraps without
         filling the ring raises.  From entry 0, storage order is oldest
         first, so a schedule that visits every offset reproduces full memory
@@ -269,15 +298,22 @@ class HistoryBuffer:
                 view = self._data
             else:
                 view = self.block(lo, k)
-            return (coeffs @ view.reshape(count, -1)).reshape(self.field_shape)
+            return self._field(coeffs @ view)
         total = None
         for (m, count, stride), coeffs in zip(runs, coefficients):
             last = m + (count - 1) * stride
-            rows = self.gather(k - last, k - m, stride).reshape(count, -1)
+            rows = self.gather(k - last, k - m, stride)
             # A one-entry matmul leaves BLAS for NumPy's generic loop.
             part = rows[0] * coeffs[0] if count == 1 else coeffs @ rows
             if total is None:
                 total = part
             else:
                 total += part
-        return total.reshape(self.field_shape)
+        return self._field(total)
+
+    def _field(self, row: np.ndarray) -> np.ndarray:
+        """A new zero-ringed field whose interior is the cells of a row."""
+        nx, ny = self._shape
+        field = np.zeros(self._shape)
+        field[1:-1, 1:-1] = row[: (nx - 2) * (ny - 2)].reshape(nx - 2, ny - 2)
+        return field

@@ -15,15 +15,14 @@ a schedule that visits every offset reproduces the full-memory result bit
 for bit.
 
 Besides the contraction a step costs a fixed few passes over one field,
-whatever the strategy: the update scales the contraction's fresh result in
-place and adds ``u * (1 - beta * dt)`` to it, the peak |u| is one max and
-one min, the stencil fills one new field, and the history copies that field
-in.  The new field's boundary ring takes no pass of its own: every stored
-stencil field has a +0 ring and every schedule weighs offset 0 by
-psi(0) = 1, so the sum's ring adds that +0 to other zeros and is +0, and
-scaling it by a ratio >= 0 and adding ``u`` keeps it +0.  The table builds
-a run's coefficients only in the step where the run or its span changes;
-every other step reuses them.
+whatever the strategy: the history copies the sum's interior into a zeroed
+field, the update scales that field in place and adds
+``u * (1 - beta * dt)`` to it, the peak |u| is one max and one min, the
+stencil fills one new field, and the history checks that field's ring is
+zero and copies its interior in.  The new field's boundary ring takes no
+pass of its own: the sum's ring is +0, and scaling it by a ratio >= 0 and
+adding ``u`` keeps it +0.  The table builds a run's coefficients only in the
+step where the run or its span changes; every other step reuses them.
 
 A run holds its history, the field it advances and a step's few working
 fields.  Snapshots go to the caller: ``run`` hands each one, uncopied, to

@@ -125,10 +125,11 @@ def test_out_dir_is_a_file(tmp_path, capsys):
 @pytest.mark.parametrize("memory,fields", [("short:5", 6), ("full", 40 + 1)])
 def test_manifest_records_history_bytes(tmp_path, memory, fields):
     # short:5 keeps a ring of the 6 fields it reaches; full keeps every step.
+    # A field's 10 x 10 interior is stored in a row of 104 doubles.
     out = tmp_path / "x"
     assert run_simulate(out, ["--memory", memory, "--steps", "40"]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["history_bytes"] == fields * 12 * 12 * 8
+    assert manifest["history_bytes"] == fields * 104 * 8
 
 
 def test_manifest_records_the_snapshot_cadence_used(tmp_path):

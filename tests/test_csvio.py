@@ -13,6 +13,8 @@ import fracgrid
 from fracgrid.benchmark import BenchmarkRecord
 from fracgrid.csvio import (
     _CHUNK_VALUES,
+    _SHORT_TABLE_VALUES,
+    _csv_bytes,
     BENCHMARK_HEADER,
     format_benchmark_rows,
     format_float,
@@ -52,7 +54,10 @@ def test_format_float_round_trips(value):
 
 
 def assert_cells_match_format_float(tmp_path, data):
-    """``write_grid_csv`` writes each cell of ``data`` as ``format_float`` does."""
+    """``write_grid_csv`` writes each cell of ``data`` as ``format_float`` does,
+    and so does the bulk formatter, which a short table does not reach."""
+    expected_text = "".join(",".join(map(format_float, row)) + "\n" for row in data.T.tolist())
+    assert _csv_bytes(np.ascontiguousarray(data.T)).tobytes() == expected_text.encode()
     path = tmp_path / "cells.csv"
     write_grid_csv(data, str(path))
     lines = path.read_text().split("\n")
@@ -189,6 +194,19 @@ def test_profile_csv(tmp_path):
     assert path.read_text() == "0,0\n1,0.5\n2,1.5\n3,0.5\n4,0\n"
     with pytest.raises(ValueError, match="1D"):
         write_profile_csv(np.zeros((2, 2)), str(path))
+
+
+@pytest.mark.parametrize("rows", [1, _SHORT_TABLE_VALUES // 2 - 1, _SHORT_TABLE_VALUES // 2])
+def test_short_and_bulk_tables_write_the_same_bytes(tmp_path, rows):
+    # Either side of the size at which the writer switches from format_float
+    # to the bulk formatter, a profile reads the same.
+    rng = np.random.default_rng(rows)
+    values = rng.standard_normal(rows) * np.exp(rng.uniform(-700, 700, rows))
+    values[::7] = 0.0
+    path = tmp_path / "profile.csv"
+    write_profile_csv(values, str(path))
+    table = np.column_stack((np.arange(rows, dtype=np.float64), values))
+    assert path.read_bytes() == _csv_bytes(table).tobytes()
 
 
 def test_trace_csv(tmp_path):

@@ -1,5 +1,6 @@
 """Unit tests for the explicit fractional stepper."""
 
+import hashlib
 import logging
 import math
 import os
@@ -353,7 +354,7 @@ def test_unit_cells_keep_psi_bitwise():
 
 # Final fields of full memory, adaptive:3 and short:40 on a 60x60 grid for 300
 # steps, written as raw bytes.  Each contraction there multiplies up to
-# 301 x 3600 entries, and short:40's whole-ring read 41 x 3600, above the size
+# 301 x 3368 entries, and short:40's whole-ring read 41 x 3368, above the size
 # at which OpenBLAS splits a gemv over threads.
 _FINAL_FIELDS_SCRIPT = """
 import sys
@@ -369,23 +370,45 @@ for strategy in (FullMemory(), AdaptiveMemory(3), ShortMemory(40)):
     sys.stdout.buffer.write(run(config).final.data.tobytes())
 """
 
+# Full memory on a 101x101 grid for 120 steps.  A whole field there is 10201
+# doubles, not a whole number of vector widths, and its gemv ended with other
+# bits under two threads than under one; the 99 x 99 interior is stored in a
+# row of 9808 doubles.
+_ODD_GRID_SCRIPT = """
+import sys
+from fracgrid.solver import SimulationConfig, run
 
-def _final_fields_with_threads(threads):
+config = SimulationConfig(
+    gamma=0.75, alpha=1.0, beta=0.0, dt=1.0, dx=10.0, nx=101, ny=101,
+    n_steps=120, sources=((50, 50, 10.0), (33, 50, 3.0)),
+)
+sys.stdout.buffer.write(run(config).final.data.tobytes())
+"""
+
+
+def _final_fields_with_threads(script, threads):
     env = {k: v for k, v in os.environ.items() if not k.endswith("NUM_THREADS")}
     env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
     src = str(Path(fracgrid.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-c", _FINAL_FIELDS_SCRIPT],
+        [sys.executable, "-c", script],
         env=env, capture_output=True, check=True,
     )
     return done.stdout
 
 
 def test_final_fields_do_not_depend_on_blas_threads():
-    one = _final_fields_with_threads(1)
+    one = _final_fields_with_threads(_FINAL_FIELDS_SCRIPT, 1)
     assert len(one) == 3 * 60 * 60 * 8
-    assert one == _final_fields_with_threads(2)
+    assert one == _final_fields_with_threads(_FINAL_FIELDS_SCRIPT, 2)
+
+
+def test_odd_grid_final_fields_do_not_depend_on_blas_threads():
+    one = _final_fields_with_threads(_ODD_GRID_SCRIPT, 1)
+    assert len(one) == 101 * 101 * 8
+    two = _final_fields_with_threads(_ODD_GRID_SCRIPT, 2)
+    assert hashlib.sha256(one).hexdigest() == hashlib.sha256(two).hexdigest()
 
 
 def test_history_sum_validation():
@@ -509,18 +532,20 @@ def _final_over_linear_history(config):
     return u
 
 
+# A 9 x 11 field's 7 x 9 interior is stored in a row of 64 doubles, and a
+# 60 x 60 field's 58 x 58 interior (3364 cells) in a row of 3368.
 @pytest.mark.parametrize(
-    "length,shape,fields",
+    "length,shape,fields,row",
     [
-        pytest.param(1.0, (9, 11), 2, id="1.0"),
-        pytest.param(7.0, (9, 11), 8, id="7.0"),
-        pytest.param(40.0, (9, 11), 41, id="40.0"),
-        pytest.param(250.0, (9, 11), 251, id="250.0"),
-        # a whole-ring gemv of 41 x 3600, large enough for OpenBLAS threads
-        pytest.param(40.0, (60, 60), 41, id="40.0-60x60"),
+        pytest.param(1.0, (9, 11), 2, 64, id="1.0"),
+        pytest.param(7.0, (9, 11), 8, 64, id="7.0"),
+        pytest.param(40.0, (9, 11), 41, 64, id="40.0"),
+        pytest.param(250.0, (9, 11), 251, 64, id="250.0"),
+        # a whole-ring gemv of 41 x 3368, large enough for OpenBLAS threads
+        pytest.param(40.0, (60, 60), 41, 3368, id="40.0-60x60"),
     ],
 )
-def test_short_memory_ring_matches_linear_history_bitwise(length, shape, fields):
+def test_short_memory_ring_matches_linear_history_bitwise(length, shape, fields, row):
     nx, ny = shape
     config = make_config(
         gamma=0.6, nx=nx, ny=ny, n_steps=300, strategy=ShortMemory(length),
@@ -528,7 +553,7 @@ def test_short_memory_ring_matches_linear_history_bitwise(length, shape, fields)
     )
     result = run(config)
     # a ring of the W = L + 1 fields the window reaches, not one per step
-    assert result.history_bytes == fields * nx * ny * 8
+    assert result.history_bytes == fields * row * 8
     assert result.final.data.tobytes() == _final_over_linear_history(config).tobytes()
 
 
@@ -553,10 +578,11 @@ def test_reach_bounds_every_schedule_of_the_run(memory, dt):
 
 
 def test_memory_cap_counts_the_short_memory_ring():
-    # 1001 fields of 8x8 are 512512 bytes, over the cap; short:5 keeps 6.
+    # An 8x8 field's 36 interior cells are stored in a row of 40 doubles:
+    # 1001 rows are 320320 bytes, over the cap; short:5 keeps 6.
     capped = make_config(n_steps=1000, history_byte_cap=100_000)
     result = run(replace(capped, strategy=ShortMemory(5.0)))
-    assert result.history_bytes == 6 * 8 * 8 * 8
+    assert result.history_bytes == 6 * 40 * 8
     with pytest.raises(MemoryBudgetError):
         run(capped)
 
