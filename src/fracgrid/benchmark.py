@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid2D, slice_profile
+from .grid import Grid2D
 from .schedule import AdaptiveMemory, FullMemory, ShortMemory
 from .solver import DivergenceError, SimulationConfig, SimulationResult, run
 
@@ -63,8 +63,9 @@ def check_initial_field(config: SimulationConfig) -> None:
 
     A run from an identically zero initial field stays zero under every
     strategy, so :func:`relative_error` would refuse its reference anyway.
+    The field is zero exactly when every source's value is.
     """
-    if not np.any(config.initial_grid().data):
+    if not any(value for _, _, value in config.sources):
         raise ValueError(_ZERO_REFERENCE)
 
 
@@ -165,11 +166,13 @@ def profile_and_trace(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Final profile through ``cell``'s row, and the steps and values of its trace.
 
-    ``trace`` holds ``(step, value)`` of the cell at each snapshot step.
+    The profile is a copy of ``final.data[:, l]``, writable and not tied to
+    the field.  ``trace`` holds ``(step, value)`` of the cell at each
+    snapshot step.
     """
     steps = np.array([step for step, _ in trace], dtype=np.int64)
     values = np.array([value for _, value in trace], dtype=np.float64)
-    return slice_profile(final, cell[1]), steps, values
+    return final.data[:, cell[1]].copy(), steps, values
 
 
 def gamma_sweep(

@@ -42,6 +42,7 @@ from .csvio import (
     write_schedule_csv,
     write_trace_csv,
 )
+from .grid import Grid2D
 from .schedule import coverage_report, parse_memory_spec
 from .solver import DivergenceError, run
 from .svgplot import Series, write_line_plot
@@ -86,20 +87,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracgrid",
         description="Fractional reaction-diffusion on 2D grids with pluggable history memory.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument(
         "-v", "--verbose", action="store_true", help="log progress to stderr"
     )
+    # Flags match by whole name only (a prefix such as --gamma would read as
+    # --gammas); subparsers do not inherit allow_abbrev, so each is given it.
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run one simulation and write its artifacts")
+    p = sub.add_parser(
+        "simulate", help="run one simulation and write its artifacts", allow_abbrev=False
+    )
     _add_run_flags(p, omit=SWEEP_KEYS)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser(
         "benchmark",
         help="score short/adaptive strategies against full memory",
+        allow_abbrev=False,
     )
     # Each run's gamma and memory come from the sweep, and it keeps no snapshots.
     _add_run_flags(p, omit=("gamma", "memory", "snapshot_every"))
@@ -108,12 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep-gamma",
         help="run the same configuration across several gammas (full memory)",
+        allow_abbrev=False,
     )
     # Each run's gamma comes from --gammas, and its memory is always full.
     _add_run_flags(p, omit=("gamma", "memory", "short_lengths", "adaptive_bases", "repeats"))
     p.set_defaults(handler=_cmd_sweep_gamma)
 
-    p = sub.add_parser("schedule", help="dump a memory schedule and its coverage")
+    p = sub.add_parser(
+        "schedule", help="dump a memory schedule and its coverage", allow_abbrev=False
+    )
     p.add_argument("--k", type=int, required=True, help="step index")
     p.add_argument("--memory", required=True, help="full, short:<length> or adaptive:<base>")
     p.add_argument("--dt", type=float, default=1.0, help="time step (for short horizons)")
@@ -142,6 +152,10 @@ def _resolve_simulation(args: argparse.Namespace, *, defaults=None):
                 "drop --grid/--source"
             )
         field = read_grid_csv(args.initial_grid)
+        try:
+            Grid2D(field)
+        except ValueError as exc:
+            raise ConfigError(f"{args.initial_grid}: {exc}") from None
         nz = np.argwhere(field != 0.0)
         over["grid"] = field.shape
         over["sources"] = tuple(

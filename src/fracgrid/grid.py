@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,8 @@ class Grid2D:
     The first axis indexes x (column j), the second y (row l).  The boundary
     ring is required to be exactly zero: the scheme treats the domain edge as
     an absorbing wall and never updates it.  The grid holds the field alone;
-    its spacing is the run's ``SimulationConfig.dx``.
+    its spacing is the run's ``SimulationConfig.dx``, and a run's initial
+    field is built by ``SimulationConfig.initial_grid``.
     """
 
     data: np.ndarray
@@ -49,39 +50,6 @@ class Grid2D:
             raise ValueError("boundary ring must be exactly zero")
         object.__setattr__(self, "data", data)
         data.setflags(write=False)
-
-    @property
-    def nx(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def ny(self) -> int:
-        return self.data.shape[1]
-
-    @classmethod
-    def from_sources(
-        cls, nx: int, ny: int, sources: Iterable[tuple[int, int, float]] = ()
-    ) -> "Grid2D":
-        """Zero grid of shape (nx, ny) with point sources assigned into it.
-
-        Each source is an (j, l, value) triple; coordinates must fall in the
-        interior (the boundary ring stays zero).
-        """
-        nx, ny = int(nx), int(ny)
-        if nx < 3 or ny < 3:
-            raise ValueError(f"grid must be at least 3x3, got {nx}x{ny}")
-        data = np.zeros((nx, ny), dtype=np.float64)
-        for j, l, value in sources:
-            j, l = int(j), int(l)
-            check_interior_source(j, l, nx, ny)
-            data[j, l] = float(value)
-        return cls(data)
-
-
-def check_interior_source(j: int, l: int, nx: int, ny: int) -> None:
-    """Reject a source at (j, l) unless it sits in the interior of an nx x ny grid."""
-    if not (1 <= j <= nx - 2 and 1 <= l <= ny - 2):
-        raise ValueError(f"source ({j}, {l}) is outside the interior of a {nx}x{ny} grid")
 
 
 def stencil(data: np.ndarray) -> np.ndarray:
@@ -113,14 +81,6 @@ def stencil(data: np.ndarray) -> np.ndarray:
     out[:: nx - 1] = 0.0
     out[:, :: ny - 1] = 0.0
     return out
-
-
-def slice_profile(grid: Grid2D, row: int) -> np.ndarray:
-    """1D cut u[:, row] across the grid, as a fresh writable array."""
-    row = int(row)
-    if not 0 <= row < grid.ny:
-        raise IndexError(f"row {row} out of range for grid with ny={grid.ny}")
-    return grid.data[:, row].copy()
 
 
 class HistoryBuffer:

@@ -119,6 +119,13 @@ class MemorySchedule:
         return self.spans[-1][1] - 1
 
 
+def checked_int(name: str, value) -> int:
+    """``value`` as an int: Python and NumPy integers pass, bools and other numbers fail."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _checked_step(k: int) -> int:
     k = int(k)
     if k < 0:
@@ -317,12 +324,10 @@ class AdaptiveMemory:
     tag = "adaptive"
 
     def __post_init__(self) -> None:
-        base = self.base
-        if not isinstance(base, (int, np.integer)) or isinstance(base, bool):
-            raise ValueError(f"adaptive base must be an integer, got {base!r}")
+        base = checked_int("adaptive base", self.base)
         if base < 2:
             raise ValueError(f"adaptive base must be >= 2, got {base}")
-        object.__setattr__(self, "base", int(base))
+        object.__setattr__(self, "base", base)
 
     @property
     def param(self) -> float:

@@ -42,14 +42,8 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import PsiTable, build_table, checked_gamma
-from .grid import (
-    DEFAULT_HISTORY_BYTE_CAP,
-    Grid2D,
-    HistoryBuffer,
-    check_interior_source,
-    stencil,
-)
-from .schedule import FullMemory, MemorySchedule, MemoryStrategy
+from .grid import DEFAULT_HISTORY_BYTE_CAP, Grid2D, HistoryBuffer, stencil
+from .schedule import FullMemory, MemorySchedule, MemoryStrategy, checked_int
 
 log = logging.getLogger("fracgrid")
 
@@ -102,6 +96,9 @@ class SimulationConfig:
     """Fully-resolved parameters of one run.
 
     Building one checks every value and warns nothing; :func:`run` does.
+    It alone checks the grid extent and sources and builds the initial field
+    (:meth:`initial_grid`).  Integer fields are read by
+    :func:`~fracgrid.schedule.checked_int` and kept as int.
 
     Parameters
     ----------
@@ -118,7 +115,8 @@ class SimulationConfig:
     n_steps : int
         Number of steps to take, >= 0.
     sources : tuple of (j, l, value)
-        Initial point concentrations in the grid interior.
+        Initial point concentrations: integer cells of the grid interior, at
+        most one source per cell, finite values (stored as float).
     strategy : memory strategy
         Which history offsets each step visits (full / short / adaptive).
     snapshot_every : int or None
@@ -151,6 +149,11 @@ class SimulationConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not self.dx > 0.0 or not math.isfinite(self.dx):
             raise ValueError(f"dx must be positive and finite, got {self.dx!r}")
+        for name in ("nx", "ny", "n_steps"):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
+        if self.snapshot_every is not None:
+            every = checked_int("snapshot_every", self.snapshot_every)
+            object.__setattr__(self, "snapshot_every", every)
         if self.nx < 3 or self.ny < 3:
             raise ValueError(f"grid must be at least 3x3, got {self.nx}x{self.ny}")
         if self.n_steps < 0:
@@ -159,14 +162,19 @@ class SimulationConfig:
             raise ValueError(
                 f"snapshot_every must be >= 1, got {self.snapshot_every}"
             )
-        seen: set[tuple[int, int]] = set()
+        cells: dict[tuple[int, int], float] = {}
         for j, l, value in self.sources:
-            check_interior_source(j, l, self.nx, self.ny)
+            j, l = checked_int("source j", j), checked_int("source l", l)
+            if not (1 <= j <= self.nx - 2 and 1 <= l <= self.ny - 2):
+                raise ValueError(
+                    f"source ({j}, {l}) is outside the interior of a {self.nx}x{self.ny} grid"
+                )
             if not math.isfinite(value):
                 raise ValueError(f"source ({j}, {l}) has non-finite value {value!r}")
-            if (j, l) in seen:
+            if (j, l) in cells:
                 raise ValueError(f"duplicate source at ({j}, {l})")
-            seen.add((j, l))
+            cells[j, l] = float(value)
+        object.__setattr__(self, "sources", tuple((*cell, v) for cell, v in cells.items()))
 
     @property
     def stability_ratio(self) -> float:
@@ -180,7 +188,11 @@ class SimulationConfig:
         return max(1, math.ceil(self.n_steps / 100))
 
     def initial_grid(self) -> Grid2D:
-        return Grid2D.from_sources(self.nx, self.ny, self.sources)
+        """A new zero field of shape (nx, ny) holding each source at its cell."""
+        data = np.zeros((self.nx, self.ny))
+        for j, l, value in self.sources:
+            data[j, l] = value
+        return Grid2D(data)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from fracgrid.benchmark import (
     BenchmarkRecord,
     GammaSweepEntry,
     gamma_sweep,
+    profile_and_trace,
     relative_error,
     run_comparison,
     source_cell,
@@ -39,11 +40,15 @@ def small_config(**kwargs):
 
 class TestRelativeError:
     def test_identical(self):
-        grid = Grid2D.from_sources(5, 5, [(2, 2, 3.0)])
+        data = np.zeros((5, 5))
+        data[2, 2] = 3.0
+        grid = Grid2D(data)
         assert relative_error(grid, grid) == (0.0, 0.0)
 
     def test_proportional(self):
-        ref = Grid2D.from_sources(5, 5, [(2, 2, 3.0), (1, 2, 1.0)])
+        data = np.zeros((5, 5))
+        data[2, 2], data[1, 2] = 3.0, 1.0
+        ref = Grid2D(data)
         approx = Grid2D(ref.data * 1.01)
         err_l2, err_linf = relative_error(approx, ref)
         assert err_l2 == pytest.approx(1.0, rel=1e-12)
@@ -51,7 +56,9 @@ class TestRelativeError:
 
     def test_zero_reference_rejected(self):
         zero = Grid2D(np.zeros((4, 4)))
-        other = Grid2D.from_sources(4, 4, [(1, 1, 1.0)])
+        data = np.zeros((4, 4))
+        data[1, 1] = 1.0
+        other = Grid2D(data)
         with pytest.raises(ValueError, match="zero"):
             relative_error(other, zero)
 
@@ -103,7 +110,10 @@ class TestRunComparison:
         with pytest.raises(ValueError, match="gamma"):
             run_comparison(small_config(), (), (10.0,), (3,))
 
-    @pytest.mark.parametrize("sources", [(), ((5, 5, 0.0),)], ids=["none", "zero"])
+    @pytest.mark.parametrize(
+        "sources", [(), ((5, 5, 0.0),), ((5, 5, -0.0), (3, 4, 0.0))],
+        ids=["none", "zero", "negative-zero"],
+    )
     def test_zero_initial_field_rejected_before_any_run(self, monkeypatch, sources):
         # A zero field stays zero, so its reference could score nothing.
         def no_run(config, **kwargs):
@@ -182,6 +192,19 @@ class TestRunComparison:
         assert messages["short"] == messages["adaptive"] == (
             "full-memory reference diverged: " + messages["full"]
         )
+
+
+def test_profile_and_trace_copies_the_profile():
+    # The profile is the final field's row through the cell, as a copy the
+    # caller may write; the trace comes back as two arrays.
+    config = small_config(sources=((2, 3, 7.0),), n_steps=0)
+    final = config.initial_grid()
+    profile, steps, values = profile_and_trace(final, (2, 3), [(0, 7.0), (5, 6.5)])
+    assert profile.tolist() == [0.0, 0.0, 7.0] + [0.0] * 7
+    profile[2] = 0.0
+    assert final.data[2, 3] == 7.0
+    assert steps.dtype == np.int64 and steps.tolist() == [0, 5]
+    assert values.tolist() == [7.0, 6.5]
 
 
 def test_source_cell_selection():

@@ -116,6 +116,43 @@ def test_missing_initial_grid_file(tmp_path, capsys):
     assert "fracgrid:" in capsys.readouterr().err
 
 
+def test_bad_initial_grid_file_is_named_before_its_fault(tmp_path, capsys):
+    # A nonzero ring cell is the file's fault, not a source the user gave.
+    field = np.zeros((4, 4))
+    field[3, 2] = 1.0
+    path = tmp_path / "field.csv"
+    write_grid_csv(field, str(path))
+    out = tmp_path / "x"
+    rc = main(
+        [
+            "simulate", "--out-dir", str(out),
+            "--gamma", "0.8", "--dt", "1", "--dx", "10", "--steps", "10",
+            "--initial-grid", str(path),
+        ]
+    )
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"fracgrid: {path}: boundary ring must be exactly zero\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-gamma", "--memory", "adaptive:5"],
+        ["benchmark", "--gamma", "0.5"],
+        ["simulate", *SIM_FLAGS, "--snap", "5"],
+    ],
+    ids=["memory-as-memory-cap", "gamma-as-gammas", "snap-as-snapshot-every"],
+)
+def test_flag_prefixes_are_not_read_as_other_flags(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as excinfo:
+        main([argv[0], "--out-dir", str(out), *argv[1:]])
+    assert excinfo.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_dir_is_a_file(tmp_path, capsys):
     blocked = tmp_path / "blocked"
     blocked.write_text("not a directory")

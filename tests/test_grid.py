@@ -11,7 +11,6 @@ from fracgrid.grid import (
     HistoryBuffer,
     HistoryCapacityError,
     MemoryBudgetError,
-    slice_profile,
     stencil,
 )
 from fracgrid.schedule import adaptive_schedule
@@ -122,24 +121,11 @@ def test_grid_validation():
 
 
 def test_grid_is_read_only():
-    grid = Grid2D.from_sources(5, 5, [(2, 2, 1.0)])
+    data = np.zeros((5, 5))
+    data[2, 2] = 1.0
+    grid = Grid2D(data)
     with pytest.raises(ValueError):
         grid.data[2, 2] = 5.0
-
-
-def test_from_sources_placement():
-    grid = Grid2D.from_sources(5, 6, [(2, 3, 1.5), (1, 1, -0.5)])
-    assert grid.nx == 5 and grid.ny == 6
-    assert grid.data[2, 3] == 1.5
-    assert grid.data[1, 1] == -0.5
-    assert grid.data.sum() == 1.0
-
-
-def test_from_sources_rejects_boundary():
-    with pytest.raises(ValueError, match=r"^source \(0, 2\) is outside the interior of a 5x5 grid$"):
-        Grid2D.from_sources(5, 5, [(0, 2, 1.0)])
-    with pytest.raises(ValueError, match="interior"):
-        Grid2D.from_sources(5, 5, [(2, 4, 1.0)])
 
 
 def test_laplacian_field_matches_stencil():
@@ -173,16 +159,6 @@ def test_flat_stencil_reads_a_non_contiguous_view(slice_stencil):
     view = rng.standard_normal((40, 61))[::2, 1::3]
     assert not view.flags.c_contiguous
     assert stencil(view).tobytes() == slice_stencil(view).tobytes()
-
-
-def test_slice_profile():
-    grid = Grid2D.from_sources(5, 5, [(2, 3, 7.0)])
-    profile = slice_profile(grid, 3)
-    assert profile.tolist() == [0.0, 0.0, 7.0, 0.0, 0.0]
-    profile[2] = 0.0  # a copy, not a view
-    assert grid.data[2, 3] == 7.0
-    with pytest.raises(IndexError):
-        slice_profile(grid, 5)
 
 
 @pytest.mark.parametrize("n", [20, 100])

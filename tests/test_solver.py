@@ -92,6 +92,53 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="non-finite"):
             make_config(sources=((4, 4, math.nan),))
 
+    def test_initial_grid_places_sources(self):
+        grid = make_config(nx=5, ny=6, sources=((2, 3, 1.5), (1, 1, -0.5))).initial_grid()
+        expected = np.zeros((5, 6))
+        expected[2, 3], expected[1, 1] = 1.5, -0.5
+        assert np.array_equal(grid.data, expected)
+        with pytest.raises(ValueError):
+            grid.data[2, 3] = 5.0
+
+    def test_initial_grid_rejects_ring_sources(self):
+        for j, l in ((0, 2), (4, 2), (2, 0), (2, 4)):
+            with pytest.raises(
+                ValueError, match=rf"^source \({j}, {l}\) is outside the interior of a 5x5 grid$"
+            ):
+                make_config(nx=5, ny=5, sources=((j, l, 1.0),))
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("nx", dict(nx=8.0)),
+            ("ny", dict(ny=True)),
+            ("n_steps", dict(n_steps=5.5)),
+            ("n_steps", dict(n_steps=True)),
+            ("snapshot_every", dict(snapshot_every=2.5)),
+            ("snapshot_every", dict(snapshot_every=np.True_)),
+            ("source j", dict(sources=((4.5, 4, 1.0),))),
+            ("source j", dict(sources=((True, 4, 1.0),))),
+            ("source l", dict(sources=((4, np.float64(4.0), 1.0),))),
+        ],
+        ids=[
+            "nx-float", "ny-bool", "n_steps-float", "n_steps-bool", "snapshot_every-float",
+            "snapshot_every-numpy-bool", "source-j-float", "source-j-bool", "source-l-numpy-float",
+        ],
+    )
+    def test_integer_fields_refuse_other_numbers(self, name, kwargs):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            make_config(**kwargs)
+
+    def test_numpy_integers_are_kept_as_int(self):
+        config = make_config(
+            nx=np.int64(8), ny=np.int32(8), n_steps=np.int64(3), snapshot_every=np.int16(2),
+            sources=((np.int64(4), np.int32(3), np.float64(2.0)),),
+        )
+        assert config == make_config(n_steps=3, snapshot_every=2, sources=((4, 3, 2.0),))
+        fields = (config.nx, config.ny, config.n_steps, config.snapshot_every, *config.sources[0][:2])
+        assert {type(v) for v in fields} == {int}
+        assert run(config).final.data[4, 3] != 0.0
+
     def test_stability_warning(self):
         # A run warns as it starts; zero steps are enough.
         with pytest.warns(StabilityWarning):
