@@ -12,8 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .coefficients import checked_gamma
 from .grid import Grid2D
-from .schedule import AdaptiveMemory, FullMemory, ShortMemory
+from .schedule import AdaptiveMemory, FullMemory, ShortMemory, checked_int
 from .solver import DivergenceError, SimulationConfig, SimulationResult, run
 
 
@@ -102,19 +103,18 @@ def run_comparison(
     """
     if not isinstance(base_config.strategy, FullMemory):
         raise ValueError("comparison reference must use the full-memory strategy")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    repeats = checked_int("repeats", repeats, 1)
     if not gammas:
         raise ValueError("at least one gamma is required")
     check_initial_field(base_config)
 
     strategies = [
         base_config.strategy,
-        *(ShortMemory(length=float(length)) for length in short_lengths),
-        *(AdaptiveMemory(base=int(base)) for base in adaptive_bases),
+        *map(ShortMemory, short_lengths),
+        *map(AdaptiveMemory, adaptive_bases),
     ]
     records: list[BenchmarkRecord] = []
-    for gamma in map(float, gammas):
+    for gamma in map(checked_gamma, gammas):
         reference: Grid2D | None = None
         skipped = ""
         for strategy in strategies:
@@ -156,8 +156,7 @@ class GammaSweepEntry:
 def source_cell(config: SimulationConfig) -> tuple[int, int]:
     """Cell whose time trace a sweep records: the strongest source, else the centre."""
     if config.sources:
-        j, l, _ = max(config.sources, key=lambda s: (abs(s[2]), -s[0], -s[1]))
-        return int(j), int(l)
+        return max(config.sources, key=lambda s: (abs(s[2]), -s[0], -s[1]))[:2]
     return config.nx // 2, config.ny // 2
 
 
@@ -191,13 +190,13 @@ def gamma_sweep(
         raise ValueError("at least one gamma is required")
     cell = source_cell(base_config)
     entries: list[GammaSweepEntry] = []
-    for gamma in gammas:
+    for gamma in map(checked_gamma, gammas):
         trace: list[tuple[int, float]] = []
         result = run(
-            replace(base_config, gamma=float(gamma)),
+            replace(base_config, gamma=gamma),
             on_snapshot=lambda step, field: trace.append((step, field[cell])),
         )
         entries.append(
-            GammaSweepEntry(float(gamma), *profile_and_trace(result.final, cell, trace))
+            GammaSweepEntry(gamma, *profile_and_trace(result.final, cell, trace))
         )
     return entries

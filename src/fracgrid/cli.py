@@ -43,7 +43,7 @@ from .csvio import (
     write_trace_csv,
 )
 from .grid import Grid2D
-from .schedule import coverage_report, parse_memory_spec
+from .schedule import checked_real, coverage_report, parse_memory_spec
 from .solver import DivergenceError, run
 from .svgplot import Series, write_line_plot
 
@@ -158,9 +158,7 @@ def _resolve_simulation(args: argparse.Namespace, *, defaults=None):
             raise ConfigError(f"{args.initial_grid}: {exc}") from None
         nz = np.argwhere(field != 0.0)
         over["grid"] = field.shape
-        over["sources"] = tuple(
-            (int(j), int(l), float(field[j, l])) for j, l in nz
-        )
+        over["sources"] = tuple((j, l, field[j, l]) for j, l in nz)
     return build_simulation(file_map, over, defaults), file_map
 
 
@@ -377,10 +375,8 @@ def _cmd_sweep_gamma(args: argparse.Namespace) -> int:
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     strategy = parse_memory_spec(args.memory)
-    # schedule_at checks k and the short horizon; full and adaptive never read dt.
-    if not args.dt > 0:
-        raise ConfigError(f"dt must be positive, got {args.dt}")
-    schedule = strategy.schedule_at(args.k, args.dt)
+    # schedule_at checks k; full and adaptive memory never read dt.
+    schedule = strategy.schedule_at(args.k, checked_real("dt", args.dt, 0, strict=True))
     stats = coverage_report(schedule, args.k)
 
     if args.out_dir:

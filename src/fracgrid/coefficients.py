@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .schedule import MemorySchedule, cell_bounds
+from .schedule import MemorySchedule, cell_bounds, checked_int, checked_real
 
 
 def checked_gamma(gamma: float) -> float:
-    """``gamma`` as a float; ValueError unless it lies in (0, 1], its one domain."""
-    gamma = float(gamma)
+    """``gamma`` read by :func:`~fracgrid.schedule.checked_real`; ValueError unless in (0, 1]."""
+    gamma = checked_real("gamma", gamma)
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
     return gamma
@@ -110,9 +110,7 @@ def build_table(gamma: float, n_steps: int) -> PsiTable:
     not keep gamma.
     """
     gamma = checked_gamma(gamma)
-    n_steps = int(n_steps)
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    n_steps = checked_int("n_steps", n_steps, 0)
     values = np.empty(n_steps + 1, dtype=np.float64)
     value = 1.0
     values[0] = value

@@ -44,7 +44,7 @@ from typing import Any, Callable, Mapping
 
 from .coefficients import checked_gamma
 from .grid import DEFAULT_HISTORY_BYTE_CAP
-from .schedule import AdaptiveMemory, MemoryStrategy, ShortMemory
+from .schedule import AdaptiveMemory, MemoryStrategy, ShortMemory, checked_int
 from .schedule import format_memory_spec, parse_memory_spec
 from .solver import SimulationConfig
 
@@ -54,21 +54,18 @@ class ConfigError(ValueError):
 
 
 def _parse_int(raw: Any) -> int:
+    """Text as a base-10 integer; a number is left, as given, to its field's rule."""
+    if not isinstance(raw, str):
+        return raw
     try:
-        if isinstance(raw, str):
-            return int(raw, 10)
-        if int(raw) != raw:
-            raise ValueError
-        return int(raw)
-    except (TypeError, ValueError):
+        return int(raw, 10)
+    except ValueError:
         raise ValueError(f"expected an integer, got {raw!r}") from None
 
 
-def _parse_count(raw: Any) -> int:
-    count = _parse_int(raw)
-    if count < 1:
-        raise ValueError(f"must be >= 1, got {count}")
-    return count
+def _parse_real(raw: Any) -> float:
+    """Text as a float; a number is left, as given, to its field's rule."""
+    return float(raw) if isinstance(raw, str) else raw
 
 
 def _parse_list(item: Callable[[str], Any]) -> Callable[[Any], tuple]:
@@ -115,28 +112,33 @@ DEFAULT_SHORT_LENGTHS = (10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 1500.0)
 DEFAULT_ADAPTIVE_BASES = (3, 4, 5, 8, 12, 20, 40, 100)
 
 # Every [simulation] and [sweep] key: the function that reads its value, which
-# raises ValueError (or TypeError) for a malformed one, its flag's help text
-# and, for a key a run may leave unset, its default.  A key with no default is
-# required.  The keys' order is their flags' order in --help.
+# raises ValueError for malformed text and leaves a number to the rule of the
+# field it sets, its flag's help text and, for a key a run may leave unset,
+# its default.  A key with no default is required.  The keys' order is their
+# flags' order in --help.
 SIM_SETTINGS: dict[str, tuple[Any, ...]] = {
-    "gamma": (float, "anomalous exponent in (0, 1]"),
+    "gamma": (_parse_real, "anomalous exponent in (0, 1]"),
     "memory": (
         parse_memory_spec, "history strategy: full, short:<length>, adaptive:<base>", "full"
     ),
-    "alpha": (float, "diffusion coefficient", 1.0),
-    "beta": (float, "linear decay rate", 0.0),
-    "dt": (float, "time step"),
-    "dx": (float, "grid spacing"),
+    "alpha": (_parse_real, "diffusion coefficient", 1.0),
+    "beta": (_parse_real, "linear decay rate", 0.0),
+    "dt": (_parse_real, "time step"),
+    "dx": (_parse_real, "grid spacing"),
     "grid": (parse_grid_size, "grid extent NXxNY, e.g. 100x100"),
     "steps": (_parse_int, "number of time steps"),
     "snapshot_every": (_parse_int, "snapshot cadence in steps", None),
     "memory_cap": (_parse_int, "history allocation cap in bytes", DEFAULT_HISTORY_BYTE_CAP),
 }
-# Each sweep value is checked where it is read, by the gamma check or by the
-# strategy it stands for, so a bad one fails before any run.  A default is
-# not read: it is valid as it stands.
+# Each sweep value is checked where it is read, by the gamma check, by the
+# strategy it stands for or by the integer rule, so a bad one fails before
+# any run.  A default is not read: it is valid as it stands.
 SWEEP_SETTINGS: dict[str, tuple[Any, ...]] = {
-    "gammas": (_parse_list(checked_gamma), "comma-separated gamma values", DEFAULT_GAMMAS),
+    "gammas": (
+        _parse_list(lambda text: checked_gamma(float(text))),
+        "comma-separated gamma values",
+        DEFAULT_GAMMAS,
+    ),
     "short_lengths": (
         _parse_list(lambda text: ShortMemory(float(text)).length),
         "comma-separated short-memory horizons",
@@ -147,7 +149,11 @@ SWEEP_SETTINGS: dict[str, tuple[Any, ...]] = {
         "comma-separated adaptive base windows",
         DEFAULT_ADAPTIVE_BASES,
     ),
-    "repeats": (_parse_count, "timing repeats per cell (best-of)", 1),
+    "repeats": (
+        lambda raw: checked_int("repeats", _parse_int(raw), 1),
+        "timing repeats per cell (best-of)",
+        1,
+    ),
 }
 SIM_KEYS = tuple(SIM_SETTINGS)
 SWEEP_KEYS = tuple(SWEEP_SETTINGS)

@@ -7,6 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .schedule import checked_int
+
 # Default ceiling on the stencil-history allocation (bytes).  Full-memory
 # runs store one float64 field per step, so long runs on large grids can
 # silently reach tens of gigabytes without a cap.
@@ -118,15 +120,10 @@ class HistoryBuffer:
         *,
         window: int | None = None,
     ) -> None:
-        capacity = int(capacity)
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        window = capacity if window is None else int(window)
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        nx, ny = int(shape[0]), int(shape[1])
-        if nx < 3 or ny < 3:
-            raise ValueError(f"history fields must be at least 3x3, got {nx}x{ny}")
+        capacity = checked_int("capacity", capacity, 1)
+        window = capacity if window is None else checked_int("window", window, 1)
+        byte_cap = None if byte_cap is None else checked_int("byte_cap", byte_cap, 0)
+        nx, ny = checked_int("nx", shape[0], 3), checked_int("ny", shape[1], 3)
         slots = min(window, capacity)
         cells = (nx - 2) * (ny - 2)
         row = -(-cells // _ROW_DOUBLES) * _ROW_DOUBLES

@@ -119,23 +119,41 @@ class MemorySchedule:
         return self.spans[-1][1] - 1
 
 
-def checked_int(name: str, value) -> int:
-    """``value`` as an int: Python and NumPy integers pass, bools and other numbers fail."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def checked_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as a plain int, at least ``minimum``.
+
+    Python and NumPy integers pass; anything else (a bool, a float, text,
+    None) raises ValueError naming ``name``, as does a value out of bounds.
+    A plain int, as the schedules pass every step, takes no call.
+    """
+    if value.__class__ is not int:
+        if value.__class__ is bool or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
-def _checked_step(k: int) -> int:
-    k = int(k)
-    if k < 0:
-        raise ValueError(f"step index k must be >= 0, got {k}")
-    return k
+def checked_real(name: str, value, minimum: float | None = None, *, strict: bool = False) -> float:
+    """``value`` as a finite plain float, at least (``strict``: above) ``minimum``.
+
+    Python and NumPy integers and floats pass; anything else (a bool, text,
+    None) raises ValueError naming ``name``, as does a value out of bounds.
+    """
+    if value.__class__ is bool or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} has non-finite value {value!r}")
+    if minimum is not None and not (value > minimum if strict else value >= minimum):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")
+    return value
 
 
 def full_schedule(k: int) -> MemorySchedule:
     """Every offset 0..k with unit weight."""
-    k = _checked_step(k)
+    k = checked_int("step index k", k, 0)
     return MemorySchedule(((0, k + 1, 1),))
 
 
@@ -156,7 +174,7 @@ def short_horizon(length: float, dt: float) -> int:
 
 def short_schedule(k: int, length: float, dt: float) -> MemorySchedule:
     """Offsets 0..min(:func:`short_horizon`, k) with unit weight."""
-    k = _checked_step(k)
+    k = checked_int("step index k", k, 0)
     horizon = short_horizon(length, dt)
     return full_schedule(k) if k < horizon else _steady_short_schedule(horizon)
 
@@ -176,10 +194,8 @@ def adaptive_schedule(k: int, base: int) -> MemorySchedule:
     admitted anything) is appended at unit weight so the oldest steps --
     where the weights' slow power-law tail still matters -- are never lost.
     """
-    k = _checked_step(k)
-    base = int(base)
-    if base < 2:
-        raise ValueError(f"adaptive base must be >= 2, got {base}")
+    k = checked_int("step index k", k, 0)
+    base = checked_int("adaptive base", base, 2)
 
     runs = [(0, base + 1, 1)]
     # Newest sample so far and the interval that sampled it.
@@ -251,7 +267,7 @@ def coverage_report(schedule: MemorySchedule, k: int) -> CoverageStats:
     m (clipped to [0, k]).  Offsets covered by no window are gaps; offsets
     covered more than once are overlaps.
     """
-    k = _checked_step(k)
+    k = checked_int("step index k", k, 0)
     pairs = schedule.pairs()
     if pairs[-1][0] > k:
         raise ValueError(f"schedule reaches offset {pairs[-1][0]}, beyond k={k}")
@@ -299,11 +315,8 @@ class ShortMemory:
     tag = "short"
 
     def __post_init__(self) -> None:
-        if not self.length > 0 or not math.isfinite(self.length):
-            raise ValueError(
-                f"short-memory length must be positive and finite, got {self.length!r}"
-            )
-        object.__setattr__(self, "length", float(self.length))
+        length = checked_real("short-memory length", self.length, 0, strict=True)
+        object.__setattr__(self, "length", length)
 
     @property
     def param(self) -> float:
@@ -324,10 +337,7 @@ class AdaptiveMemory:
     tag = "adaptive"
 
     def __post_init__(self) -> None:
-        base = checked_int("adaptive base", self.base)
-        if base < 2:
-            raise ValueError(f"adaptive base must be >= 2, got {base}")
-        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "base", checked_int("adaptive base", self.base, 2))
 
     @property
     def param(self) -> float:

@@ -32,6 +32,7 @@ none itself.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -43,7 +44,7 @@ import numpy as np
 
 from .coefficients import PsiTable, build_table, checked_gamma
 from .grid import DEFAULT_HISTORY_BYTE_CAP, Grid2D, HistoryBuffer, stencil
-from .schedule import FullMemory, MemorySchedule, MemoryStrategy, checked_int
+from .schedule import FullMemory, MemorySchedule, MemoryStrategy, checked_int, checked_real
 
 log = logging.getLogger("fracgrid")
 
@@ -97,8 +98,8 @@ class SimulationConfig:
 
     Building one checks every value and warns nothing; :func:`run` does.
     It alone checks the grid extent and sources and builds the initial field
-    (:meth:`initial_grid`).  Integer fields are read by
-    :func:`~fracgrid.schedule.checked_int` and kept as int.
+    (:meth:`initial_grid`).  Each number is read by ``schedule.checked_int``
+    or ``schedule.checked_real`` and kept as the plain int or float returned.
 
     Parameters
     ----------
@@ -120,10 +121,10 @@ class SimulationConfig:
     strategy : memory strategy
         Which history offsets each step visits (full / short / adaptive).
     snapshot_every : int or None
-        Steps between the calls of :func:`run`'s ``on_snapshot`` sink; None
-        picks ~100 calls per run.
+        Steps between the calls of :func:`run`'s ``on_snapshot`` sink, >= 1;
+        None picks ~100 calls per run.
     history_byte_cap : int or None
-        Ceiling on the stencil-history allocation; None disables the check.
+        Stencil-history allocation cap in bytes, >= 0; None disables it.
     """
 
     gamma: float
@@ -140,28 +141,19 @@ class SimulationConfig:
     history_byte_cap: int | None = DEFAULT_HISTORY_BYTE_CAP
 
     def __post_init__(self) -> None:
-        checked_gamma(self.gamma)
-        if not self.alpha >= 0.0 or not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
-        if not self.beta >= 0.0 or not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
-        if not self.dt > 0.0 or not math.isfinite(self.dt):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if not self.dx > 0.0 or not math.isfinite(self.dx):
-            raise ValueError(f"dx must be positive and finite, got {self.dx!r}")
+        store = functools.partial(object.__setattr__, self)
+        store("gamma", checked_gamma(self.gamma))
+        for name in ("alpha", "beta", "dt", "dx"):
+            store(name, checked_real(name, getattr(self, name), 0, strict=name in ("dt", "dx")))
         for name in ("nx", "ny", "n_steps"):
-            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
-        if self.snapshot_every is not None:
-            every = checked_int("snapshot_every", self.snapshot_every)
-            object.__setattr__(self, "snapshot_every", every)
+            store(name, checked_int(name, getattr(self, name), 0))
+        for name, minimum in (("snapshot_every", 1), ("history_byte_cap", 0)):
+            if getattr(self, name) is not None:
+                store(name, checked_int(name, getattr(self, name), minimum))
         if self.nx < 3 or self.ny < 3:
             raise ValueError(f"grid must be at least 3x3, got {self.nx}x{self.ny}")
-        if self.n_steps < 0:
-            raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
-        if self.snapshot_every is not None and self.snapshot_every < 1:
-            raise ValueError(
-                f"snapshot_every must be >= 1, got {self.snapshot_every}"
-            )
+        if not isinstance(self.strategy, MemoryStrategy):
+            raise ValueError(f"strategy must be a memory strategy, got {self.strategy!r}")
         cells: dict[tuple[int, int], float] = {}
         for j, l, value in self.sources:
             j, l = checked_int("source j", j), checked_int("source l", l)
@@ -169,12 +161,11 @@ class SimulationConfig:
                 raise ValueError(
                     f"source ({j}, {l}) is outside the interior of a {self.nx}x{self.ny} grid"
                 )
-            if not math.isfinite(value):
-                raise ValueError(f"source ({j}, {l}) has non-finite value {value!r}")
+            value = checked_real(f"source ({j}, {l})", value)
             if (j, l) in cells:
                 raise ValueError(f"duplicate source at ({j}, {l})")
-            cells[j, l] = float(value)
-        object.__setattr__(self, "sources", tuple((*cell, v) for cell, v in cells.items()))
+            cells[j, l] = value
+        store("sources", tuple((*cell, v) for cell, v in cells.items()))
 
     @property
     def stability_ratio(self) -> float:
@@ -287,6 +278,7 @@ def run(
     A step whose peak |u| is not finite or exceeds ``GROWTH_LIMIT`` times the
     initial peak raises :class:`DivergenceError`.
     """
+    progress_every = checked_int("progress_every", progress_every, 0)
     # The history is the run's one large allocation; claim it first so the
     # memory cap is checked before any other work is done.  It keeps only
     # the fields the strategy can still reach.

@@ -243,7 +243,7 @@ class TestHistoryBuffer:
         buf = HistoryBuffer(2, (3, 3))
         with pytest.raises(ValueError, match="shape"):
             buf.append(np.zeros((4, 3)))
-        with pytest.raises(ValueError, match="3x3"):
+        with pytest.raises(ValueError, match="nx must be >= 3"):
             HistoryBuffer(2, (2, 5))
 
     def test_block_and_gather(self):

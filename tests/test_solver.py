@@ -4,6 +4,7 @@ import hashlib
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ from numpy.testing import assert_allclose
 
 import fracgrid
 from fracgrid.coefficients import PsiTable, build_table
+from fracgrid.config import BENCHMARK_SCENARIO, ConfigError, build_simulation
 from fracgrid.grid import HistoryBuffer, MemoryBudgetError, stencil
 from fracgrid.schedule import (
     AdaptiveMemory,
@@ -138,6 +140,62 @@ class TestConfigValidation:
         fields = (config.nx, config.ny, config.n_steps, config.snapshot_every, *config.sources[0][:2])
         assert {type(v) for v in fields} == {int}
         assert run(config).final.data[4, 3] != 0.0
+
+    @pytest.mark.parametrize(
+        "error, field, make",
+        [
+            (ValueError, "alpha", lambda: make_config(alpha=True)),
+            (ValueError, "gamma", lambda: make_config(gamma=True)),
+            (ValueError, "dx", lambda: make_config(dx=True)),
+            (ValueError, "dt", lambda: make_config(dt="1.0")),
+            (ValueError, "beta", lambda: make_config(beta=None)),
+            (ValueError, "history_byte_cap", lambda: make_config(history_byte_cap=True)),
+            (ValueError, "history_byte_cap", lambda: make_config(history_byte_cap="1000000")),
+            (ValueError, "history_byte_cap", lambda: make_config(history_byte_cap=2.5e9)),
+            (ValueError, "history_byte_cap", lambda: make_config(history_byte_cap=-1)),
+            (ValueError, "source (4, 4)", lambda: make_config(sources=((4, 4, True),))),
+            (ValueError, "strategy", lambda: make_config(strategy="full")),
+            (ValueError, "step index k", lambda: FullMemory().schedule_at(2.7, 1.0)),
+            (ValueError, "adaptive base", lambda: adaptive_schedule(40, 3.7)),
+            (ValueError, "n_steps", lambda: build_table(0.5, 3.5)),
+            (ValueError, "capacity", lambda: HistoryBuffer(2.7, (5, 5))),
+            (
+                ConfigError,
+                "n_steps",
+                lambda: build_simulation({}, {"steps": 4.0}, BENCHMARK_SCENARIO),
+            ),
+        ],
+        ids=[
+            "alpha-bool", "gamma-bool", "dx-bool", "dt-text", "beta-none", "cap-bool",
+            "cap-text", "cap-float", "cap-negative", "source-value-bool", "strategy-text",
+            "schedule-k-float", "adaptive-base-float", "table-steps-float",
+            "history-capacity-float", "config-steps-float",
+        ],
+    )
+    def test_bad_numbers_fail_at_once_naming_their_field(self, error, field, make):
+        # Every number a run takes is read by checked_int or checked_real.
+        with pytest.raises(error, match=rf"^{re.escape(field)} "):
+            make()
+
+    def test_numpy_numbers_are_kept_as_plain_numbers(self):
+        reals = dict(gamma=0.5, alpha=1.0, beta=0.25, dt=1.0, dx=10.0)
+        config = make_config(
+            **{name: np.float64(v) for name, v in reals.items()},
+            history_byte_cap=np.int64(10**8),
+            sources=((4, 4, np.float64(10.0)),),
+            strategy=ShortMemory(np.float64(3.0)),
+        )
+        assert config == make_config(
+            **reals, history_byte_cap=10**8, strategy=ShortMemory(3.0)
+        )
+        assert {type(getattr(config, name)) for name in reals} == {float}
+        assert type(config.history_byte_cap) is int
+        assert type(config.sources[0][2]) is float
+        assert type(config.strategy.length) is float
+        assert type(AdaptiveMemory(np.int64(3)).base) is int
+        assert build_table(np.float64(0.5), np.int64(3)).capacity == 3
+        buffer = HistoryBuffer(np.int64(3), (5, 5), byte_cap=np.int64(10**6), window=np.int64(2))
+        assert (buffer.capacity, type(buffer.capacity)) == (3, int)
 
     def test_stability_warning(self):
         # A run warns as it starts; zero steps are enough.
