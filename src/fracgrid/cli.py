@@ -12,6 +12,7 @@ import datetime as _dt
 import json
 import logging
 import os
+import shutil
 import sys
 import tempfile
 
@@ -244,11 +245,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         spill.seek(0)
         for step_no, _ in trace:
             field = np.fromfile(spill, np.float64, config.nx * config.ny)
-            name = os.path.join("snapshots", f"step_{step_no:06d}.csv")
-            write_grid_csv(field.reshape(config.nx, config.ny), out.path(name))
+            snapshot = out.path(os.path.join("snapshots", f"step_{step_no:06d}.csv"))
+            write_grid_csv(field.reshape(config.nx, config.ny), snapshot)
 
+    # The last snapshot is the final field, so its bytes are copied, not
+    # formatted again.
+    shutil.copyfile(snapshot, out.path("grid_final.csv"))
     profile, steps, values = profile_and_trace(result.final, (j, l), trace)
-    write_grid_csv(result.final, out.path("grid_final.csv"))
     write_profile_csv(profile, out.path("profile.csv"))
     write_trace_csv(steps, values, out.path("trace.csv"))
 
@@ -297,23 +300,14 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     for gamma in spec.gammas:
         series = []
         for name in ("short", "adaptive"):
-            pts = [
+            pts = sorted(
                 (r.elapsed_s, r.err_l2_pct)
                 for r in records
-                if r.strategy == name
-                and r.gamma == gamma
-                and not r.failed
-                and r.err_l2_pct > 0.0
-            ]
+                if r.strategy == name and r.gamma == gamma and not r.failed and r.err_l2_pct > 0.0
+            )
             if pts:
-                pts.sort()
-                series.append(
-                    Series(
-                        name=name,
-                        x=np.array([p[0] for p in pts]),
-                        y=np.array([p[1] for p in pts]),
-                    )
-                )
+                x, y = np.array(pts).T
+                series.append(Series(name=name, x=x, y=y))
         if series:
             write_line_plot(
                 series,

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .schedule import MemorySchedule, cell_bounds, checked_int, checked_real
+from .schedule import FieldError, MemorySchedule, cell_bounds, checked_int, checked_real
 
 
 def checked_gamma(gamma: float) -> float:
-    """``gamma`` read by :func:`~fracgrid.schedule.checked_real`; ValueError unless in (0, 1]."""
+    """``gamma`` read by :func:`~fracgrid.schedule.checked_real`; FieldError unless in (0, 1]."""
     gamma = checked_real("gamma", gamma)
     if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
+        raise FieldError("gamma", f"must lie in (0, 1], got {gamma!r}")
     return gamma
 
 

@@ -44,7 +44,7 @@ from typing import Any, Callable, Mapping
 
 from .coefficients import checked_gamma
 from .grid import DEFAULT_HISTORY_BYTE_CAP
-from .schedule import AdaptiveMemory, MemoryStrategy, ShortMemory, checked_int
+from .schedule import AdaptiveMemory, FieldError, MemoryStrategy, ShortMemory, checked_int
 from .schedule import format_memory_spec, parse_memory_spec
 from .solver import SimulationConfig
 
@@ -169,6 +169,8 @@ SweepSpec = collections.namedtuple(
 # The SimulationConfig field a [simulation] key sets, where their names
 # differ; ``grid`` sets two, ``nx`` and ``ny``.
 _FIELDS = {"steps": "n_steps", "memory": "strategy", "memory_cap": "history_byte_cap"}
+# The key that sets a field, to name in the field's errors.
+_KEYS = {field: key for key, field in _FIELDS.items()} | {"nx": "grid", "ny": "grid"}
 
 
 # Bundled point-source benchmark scenario: a single strong source in the
@@ -231,8 +233,9 @@ def load_config_file(path: str) -> dict[str, dict[str, Any]]:
 def _read(settings: Mapping[str, tuple[Any, ...]], merged: Mapping[str, Any]):
     """Each value of ``merged`` read by its key's function in ``settings``.
 
-    A malformed value raises ``ConfigError("<key>: ...")``.  None, which only
-    the default of ``snapshot_every`` holds, stays None.
+    A malformed value raises ``ConfigError("<key>: ...")``, naming the key
+    once.  None, which only the default of ``snapshot_every`` holds, stays
+    None.
     """
     values: dict[str, Any] = {}
     for key, (parse, *_) in settings.items():
@@ -240,7 +243,8 @@ def _read(settings: Mapping[str, tuple[Any, ...]], merged: Mapping[str, Any]):
             try:
                 values[key] = None if merged[key] is None else parse(merged[key])
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{key}: {exc}") from None
+                reason = exc.reason if isinstance(exc, FieldError) and exc.name == key else exc
+                raise ConfigError(f"{key}: {reason}") from None
     return values
 
 
@@ -253,7 +257,7 @@ def build_simulation(
 
     Entries of ``defaults`` and ``overrides`` with value None are treated as
     "not given".  A file's [sources] section is not read when an override
-    replaces it.
+    replaces it.  A refused value raises ``ConfigError("<key>: <reason>")``.
     """
     simulation = dict(file_map.get("simulation", {}))
     if "sources" in file_map and overrides.get("sources") is None:
@@ -274,8 +278,8 @@ def build_simulation(
             sources=tuple(merged["sources"]),
             **{_FIELDS.get(key, key): value for key, value in values.items()},
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except FieldError as exc:
+        raise ConfigError(f"{_KEYS.get(exc.name, exc.name)}: {exc.reason}") from None
 
 
 def build_sweep(

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -374,25 +373,11 @@ def format_benchmark_rows(records: Sequence[BenchmarkRecord]) -> str:
     """Benchmark records as CSV text (header + one row per record)."""
     if not records:
         raise ValueError("no benchmark records to write")
-    buf = io.StringIO()
-    buf.write(",".join(BENCHMARK_HEADER))
-    buf.write("\n")
-    ordered = sorted(records, key=lambda r: (r.gamma, r.strategy, r.param))
-    for rec in ordered:
-        buf.write(
-            ",".join(
-                (
-                    rec.strategy,
-                    format_float(rec.param),
-                    format_float(rec.gamma),
-                    format_float(rec.elapsed_s),
-                    format_float(rec.err_l2_pct),
-                    format_float(rec.err_linf_pct),
-                )
-            )
-        )
-        buf.write("\n")
-    return buf.getvalue()
+    lines = [",".join(BENCHMARK_HEADER)]
+    for rec in sorted(records, key=lambda r: (r.gamma, r.strategy, r.param)):
+        numbers = (rec.param, rec.gamma, rec.elapsed_s, rec.err_l2_pct, rec.err_linf_pct)
+        lines.append(",".join((rec.strategy, *map(format_float, numbers))))
+    return "".join(line + "\n" for line in lines)
 
 
 def write_benchmark_csv(records: Sequence[BenchmarkRecord], path: str) -> None:

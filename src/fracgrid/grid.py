@@ -58,20 +58,22 @@ def stencil(data: np.ndarray) -> np.ndarray:
     """Five-point kernel u[j+1,l] + u[j-1,l] - 4 u[j,l] + u[j,l+1] + u[j,l-1].
 
     No division by dx**2 happens here; the solver folds the grid spacing into
-    its per-step coefficient.  The output boundary ring is zero, matching the
-    pinned edges of the field itself.
+    its per-step coefficient.  The result is the (nx - 2, ny - 2) interior
+    alone, the array :meth:`HistoryBuffer.append` takes: the pinned edges of
+    the field have no stencil value.
 
     The sum runs over the flattened field: every interior cell lies in the
     flat range from the first interior cell to the last, where its four
     neighbours sit at flat offsets +-ny and +-1, so each term is one
-    contiguous slice, summed in place into the output in the order written
-    above.  The range also crosses the ring cells at both ends of each
-    interior row; the whole ring is set to zero afterwards.
+    contiguous slice, summed in place into a field-shaped array in the order
+    written above.  The range also crosses the ring cells at both ends of
+    each interior row; the result is a view of that array's interior, and
+    none of its ring cells is ever written or read.
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 3 or data.shape[1] < 3:
         raise ValueError(f"stencil needs a 2D grid of at least 3x3, got shape {data.shape}")
-    nx, ny = data.shape
+    ny = data.shape[1]
     flat = data.reshape(-1)
     out = np.empty_like(data)
     lo, hi = ny + 1, flat.size - ny - 1
@@ -80,29 +82,27 @@ def stencil(data: np.ndarray) -> np.ndarray:
     inner -= 4.0 * flat[lo:hi]
     inner += flat[lo + 1 : hi + 1]
     inner += flat[lo - 1 : hi - 1]
-    out[:: nx - 1] = 0.0
-    out[:, :: ny - 1] = 0.0
-    return out
+    return out[1:-1, 1:-1]
 
 
 class HistoryBuffer:
-    """Append-only store of stencil fields, one per completed step.
+    """Append-only store of stencil interiors, one per completed step.
 
     ``capacity`` is the number of entries a run may append; the buffer keeps
     the newest ``window`` of them readable (all of them when ``window`` is
     None).  It allocates ``min(window, capacity)`` rows and keeps entry e
     in row e modulo that count: short memory of horizon L stores exactly the
-    W = L/dt + 1 fields it can reach, and full and adaptive memory, whose
-    window is the whole run, store one field per step and never wrap.  An
+    W = L/dt + 1 interiors it can reach, and full and adaptive memory, whose
+    window is the whole run, store one per step and never wrap.  An
     append writes one row and moves nothing.
 
-    A row holds a field's interior alone, ``field[1:-1, 1:-1]`` in C order,
-    followed by zeros up to a multiple of 8 doubles.  The boundary ring of
-    every stencil field is zero, so it is not stored, and :meth:`append`
-    refuses a field whose ring is not.  The pad keeps the contraction's bits
-    independent of the BLAS thread count: with every row a whole number of
-    vector widths, OpenBLAS takes each cell through the same vector loop on
-    any split of the cells between threads.
+    ``shape`` is the whole grid's, boundary ring included, but a stencil has
+    no value on the pinned ring: :meth:`append` takes the (nx - 2, ny - 2)
+    interior that :func:`stencil` returns and copies it into a row as given,
+    in C order, followed by zeros up to a multiple of 8 doubles.  The pad
+    keeps the contraction's bits independent of the BLAS thread count: with
+    every row a whole number of vector widths, OpenBLAS takes each cell
+    through the same vector loop on any split of the cells between threads.
 
     :meth:`weighted_sum` contracts the stored rows with a schedule's
     coefficients.  A run of entries whose rows do not wrap is one basic
@@ -136,10 +136,6 @@ class HistoryBuffer:
         self._data = np.zeros((slots, row), dtype=np.float64)
         # Each row's interior cells as an (nx - 2, ny - 2) view, for append.
         self._interiors = self._data[:, :cells].reshape(slots, nx - 2, ny - 2)
-        # Flat indices of a field's boundary ring, checked by append.
-        ring = np.ones((nx, ny), dtype=bool)
-        ring[1:-1, 1:-1] = False
-        self._ring = np.flatnonzero(ring)
         self._shape = (nx, ny)
         self._capacity = capacity
         self._len = 0
@@ -159,26 +155,21 @@ class HistoryBuffer:
 
     @property
     def field_shape(self) -> tuple[int, int]:
-        """Shape of an appended field, boundary ring included."""
+        """Shape of the grid whose interiors are stored, boundary ring included."""
         return self._shape
 
-    def append(self, field: np.ndarray) -> None:
-        """Record the interior of the stencil field of the step just completed."""
+    def append(self, interior: np.ndarray) -> None:
+        """Record the stencil interior of the step just completed, as given."""
         if self._len >= self._capacity:
-            raise HistoryCapacityError(
-                f"buffer holds {self._capacity} entries and is full"
-            )
-        field = np.asarray(field, dtype=np.float64)
-        if field.shape != self._shape:
+            raise HistoryCapacityError(f"buffer holds {self._capacity} entries and is full")
+        rows = self._interiors
+        interior = np.asarray(interior, dtype=np.float64)
+        if interior.shape != rows.shape[1:]:
             raise ValueError(
-                f"field shape {field.shape} does not match buffer shape {self._shape}"
+                f"interior shape {interior.shape} does not match the buffer's "
+                f"{rows.shape[1:]}, the interior of its {self._shape} grid"
             )
-        # One gather of the ring; a nan counts as nonzero.
-        if np.count_nonzero(field.take(self._ring)):
-            raise ValueError(
-                "boundary ring must be exactly zero; the history stores interiors only"
-            )
-        self._interiors[self._len % len(self._data)] = field[1:-1, 1:-1]
+        rows[self._len % len(rows)] = interior
         self._len += 1
 
     def _check(self, lo: int, hi: int) -> None:

@@ -119,19 +119,28 @@ class MemorySchedule:
         return self.spans[-1][1] - 1
 
 
+class FieldError(ValueError):
+    """A value a field's rule refuses, read as ``<name> <reason>``; a caller
+    that knows the field by another name (a config key) can put that first."""
+
+    def __init__(self, name: str, reason: str):
+        super().__init__(f"{name} {reason}")
+        self.name, self.reason = name, reason
+
+
 def checked_int(name: str, value, minimum: int | None = None) -> int:
     """``value`` as a plain int, at least ``minimum``.
 
     Python and NumPy integers pass; anything else (a bool, a float, text,
-    None) raises ValueError naming ``name``, as does a value out of bounds.
-    A plain int, as the schedules pass every step, takes no call.
+    None) raises :class:`FieldError` naming ``name``, as does a value out of
+    bounds.  A plain int, as the schedules pass every step, takes no call.
     """
     if value.__class__ is not int:
         if value.__class__ is bool or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+            raise FieldError(name, f"must be an integer, got {value!r}")
         value = int(value)
     if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise FieldError(name, f"must be >= {minimum}, got {value}")
     return value
 
 
@@ -139,15 +148,19 @@ def checked_real(name: str, value, minimum: float | None = None, *, strict: bool
     """``value`` as a finite plain float, at least (``strict``: above) ``minimum``.
 
     Python and NumPy integers and floats pass; anything else (a bool, text,
-    None) raises ValueError naming ``name``, as does a value out of bounds.
+    None, an integer past the float range) raises :class:`FieldError` naming
+    ``name``, as does a value out of bounds.
     """
     if value.__class__ is bool or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+        raise FieldError(name, f"must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise FieldError(name, "is an integer beyond the range of a float") from None
     if not -math.inf < value < math.inf:
-        raise ValueError(f"{name} has non-finite value {value!r}")
+        raise FieldError(name, f"has non-finite value {value!r}")
     if minimum is not None and not (value > minimum if strict else value >= minimum):
-        raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")
+        raise FieldError(name, f"must be {'>' if strict else '>='} {minimum}, got {value!r}")
     return value
 
 

@@ -18,11 +18,12 @@ Besides the contraction a step costs a fixed few passes over one field,
 whatever the strategy: the history copies the sum's interior into a zeroed
 field, the update scales that field in place and adds
 ``u * (1 - beta * dt)`` to it, the peak |u| is one max and one min, the
-stencil fills one new field, and the history checks that field's ring is
-zero and copies its interior in.  The new field's boundary ring takes no
-pass of its own: the sum's ring is +0, and scaling it by a ratio >= 0 and
-adding ``u`` keeps it +0.  The table builds a run's coefficients only in the
-step where the run or its span changes; every other step reuses them.
+stencil fills the interior of one new array, and the history copies that
+interior in.  No step writes, reads or stores a boundary ring apart from
+the zeroed field the sum comes in: its ring is +0, and scaling it by a
+ratio >= 0 and adding ``u`` keeps it +0.  The table builds a run's
+coefficients only in the step where the run or its span changes; every
+other step reuses them.
 
 A run holds its history, the field it advances and a step's few working
 fields.  Snapshots go to the caller: ``run`` hands each one, uncopied, to
@@ -44,7 +45,8 @@ import numpy as np
 
 from .coefficients import PsiTable, build_table, checked_gamma
 from .grid import DEFAULT_HISTORY_BYTE_CAP, Grid2D, HistoryBuffer, stencil
-from .schedule import FullMemory, MemorySchedule, MemoryStrategy, checked_int, checked_real
+from .schedule import FieldError, FullMemory, MemorySchedule, MemoryStrategy
+from .schedule import checked_int, checked_real
 
 log = logging.getLogger("fracgrid")
 
@@ -99,7 +101,8 @@ class SimulationConfig:
     Building one checks every value and warns nothing; :func:`run` does.
     It alone checks the grid extent and sources and builds the initial field
     (:meth:`initial_grid`).  Each number is read by ``schedule.checked_int``
-    or ``schedule.checked_real`` and kept as the plain int or float returned.
+    or ``schedule.checked_real`` and kept as the plain int or float returned;
+    a value it refuses raises ``schedule.FieldError`` naming the field.
 
     Parameters
     ----------
@@ -151,19 +154,18 @@ class SimulationConfig:
             if getattr(self, name) is not None:
                 store(name, checked_int(name, getattr(self, name), minimum))
         if self.nx < 3 or self.ny < 3:
-            raise ValueError(f"grid must be at least 3x3, got {self.nx}x{self.ny}")
+            raise FieldError("grid", f"must be at least 3x3, got {self.nx}x{self.ny}")
         if not isinstance(self.strategy, MemoryStrategy):
-            raise ValueError(f"strategy must be a memory strategy, got {self.strategy!r}")
+            raise FieldError("strategy", f"must be a memory strategy, got {self.strategy!r}")
         cells: dict[tuple[int, int], float] = {}
         for j, l, value in self.sources:
             j, l = checked_int("source j", j), checked_int("source l", l)
+            name = f"source ({j}, {l})"
             if not (1 <= j <= self.nx - 2 and 1 <= l <= self.ny - 2):
-                raise ValueError(
-                    f"source ({j}, {l}) is outside the interior of a {self.nx}x{self.ny} grid"
-                )
-            value = checked_real(f"source ({j}, {l})", value)
+                raise FieldError(name, f"is outside the interior of a {self.nx}x{self.ny} grid")
+            value = checked_real(name, value)
             if (j, l) in cells:
-                raise ValueError(f"duplicate source at ({j}, {l})")
+                raise FieldError(name, "is a duplicate")
             cells[j, l] = value
         store("sources", tuple((*cell, v) for cell, v in cells.items()))
 

@@ -5,21 +5,18 @@ Output captured from a passing test is normally dropped, so the summary
 repeats every verdict line, in the order the tests ran.
 """
 
-import numpy as np
 import pytest
 
 
 def _slice_stencil(data):
-    """The five-point sum written over 2-D slices, into a zeroed field."""
-    out = np.zeros_like(data)
-    out[1:-1, 1:-1] = (
+    """The five-point sum written over 2-D slices, on the interior alone."""
+    return (
         data[2:, 1:-1]
         + data[:-2, 1:-1]
         - 4.0 * data[1:-1, 1:-1]
         + data[1:-1, 2:]
         + data[1:-1, :-2]
     )
-    return out
 
 
 @pytest.fixture

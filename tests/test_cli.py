@@ -153,6 +153,28 @@ def test_flag_prefixes_are_not_read_as_other_flags(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", *SIM_FLAGS, "--steps", "-1"], "steps: must be >= 0, got -1"),
+        (["simulate", *SIM_FLAGS, "--memory-cap", "-1"], "memory_cap: must be >= 0, got -1"),
+        (
+            ["simulate", *SIM_FLAGS, "--snapshot-every", "0"],
+            "snapshot_every: must be >= 1, got 0",
+        ),
+        (["simulate", *SIM_FLAGS, "--dt", "0"], "dt: must be > 0, got 0.0"),
+        (["benchmark", "--repeats", "0"], "repeats: must be >= 1, got 0"),
+    ],
+    ids=["steps", "memory-cap", "snapshot-every", "dt", "repeats"],
+)
+def test_config_error_names_the_key_given(tmp_path, capsys, argv, message):
+    # The key the user typed, once, then the field rule's reason.
+    out = tmp_path / "x"
+    assert main([argv[0], "--out-dir", str(out), *argv[1:]]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"fracgrid: {message}\n"
+    assert not out.exists()
+
+
 def test_out_dir_is_a_file(tmp_path, capsys):
     blocked = tmp_path / "blocked"
     blocked.write_text("not a directory")
@@ -269,6 +291,16 @@ def test_snapshot_files_hold_the_fields_of_shorter_runs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     on_disk = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
     assert set(manifest["artifacts"]) | {"manifest.json"} == on_disk
+    # with no step taken, the initial field is the one snapshot and the final
+    # field
+    zero = tmp_path / "zero"
+    assert main([*argv, "--steps", "0", "--out-dir", str(zero)]) == EXIT_OK
+    assert [p.name for p in (zero / "snapshots").iterdir()] == ["step_000000.csv"]
+    final = (zero / "grid_final.csv").read_bytes()
+    assert final == (zero / "snapshots" / "step_000000.csv").read_bytes()
+    assert read_grid_csv(str(zero / "grid_final.csv")).tobytes() == (
+        config.initial_grid().data.tobytes()
+    )
 
 
 def test_simulate_keeps_no_snapshot_field_in_memory(tmp_path):

@@ -1,5 +1,6 @@
 """Unit tests for the explicit fractional stepper."""
 
+import gc
 import hashlib
 import logging
 import math
@@ -25,6 +26,7 @@ from fracgrid.schedule import (
     AdaptiveMemory,
     FullMemory,
     ShortMemory,
+    _steady_short_schedule,
     adaptive_schedule,
     full_schedule,
     parse_memory_spec,
@@ -159,9 +161,11 @@ class TestConfigValidation:
             (ValueError, "adaptive base", lambda: adaptive_schedule(40, 3.7)),
             (ValueError, "n_steps", lambda: build_table(0.5, 3.5)),
             (ValueError, "capacity", lambda: HistoryBuffer(2.7, (5, 5))),
+            (ValueError, "alpha", lambda: make_config(alpha=10**400)),
+            (ValueError, "dt", lambda: make_config(dt=-10**400)),
             (
                 ConfigError,
-                "n_steps",
+                "steps:",
                 lambda: build_simulation({}, {"steps": 4.0}, BENCHMARK_SCENARIO),
             ),
         ],
@@ -169,7 +173,8 @@ class TestConfigValidation:
             "alpha-bool", "gamma-bool", "dx-bool", "dt-text", "beta-none", "cap-bool",
             "cap-text", "cap-float", "cap-negative", "source-value-bool", "strategy-text",
             "schedule-k-float", "adaptive-base-float", "table-steps-float",
-            "history-capacity-float", "config-steps-float",
+            "history-capacity-float", "alpha-huge-int", "dt-huge-negative-int",
+            "config-steps-float",
         ],
     )
     def test_bad_numbers_fail_at_once_naming_their_field(self, error, field, make):
@@ -356,7 +361,7 @@ def test_first_step_uses_only_newest_entry():
     config = make_config(n_steps=1)
     table = build_table(config.gamma, 1)
     u0 = config.initial_grid().data
-    expected = u0 + config.alpha * config.dt**config.gamma / config.dx**2 * stencil(u0)
+    expected = u0 + config.alpha * config.dt**config.gamma / config.dx**2 * np.pad(stencil(u0), 1)
     result = run(config)
     assert_allclose(result.final.data, expected, rtol=0.0, atol=0.0)
     assert table.values[0] == 1.0
@@ -412,7 +417,7 @@ def test_history_sum_matches_manual_loop():
         field = np.zeros((5, 5))
         field[1:-1, 1:-1] = rng.normal(size=(3, 3))
         fields.append(field)
-        buf.append(field)
+        buf.append(field[1:-1, 1:-1])
 
     for kk, sched in (
         (30, full_schedule(30)),
@@ -520,7 +525,7 @@ def test_history_sum_validation():
     table = build_table(0.5, 10)
     buf = HistoryBuffer(4, (3, 3))
     for _ in range(3):
-        buf.append(np.zeros((3, 3)))
+        buf.append(np.zeros((1, 1)))
     with pytest.raises(ValueError, match="beyond"):
         history_sum(buf, full_schedule(5), table, 2)
     with pytest.raises(ValueError, match="history"):
@@ -619,21 +624,21 @@ def test_strategy_affects_only_history_weights():
 
 def _final_over_linear_history(config):
     """run()'s stepping loop for short memory over a list of every stencil
-    field, without a HistoryBuffer: each window of the newest W entries is
-    weighted by psi and contracted in the order a ring of W slots keeps it,
-    entry e in slot e mod W."""
+    field, zero-ringed, without a HistoryBuffer: each window of the newest W
+    entries is weighted by psi and contracted in the order a ring of W slots
+    keeps it, entry e in slot e mod W."""
     psi = build_table(config.gamma, config.n_steps).values
     slots = config.strategy.reach(config.n_steps, config.dt) + 1
     decay = 1.0 - config.beta * config.dt
     u = config.initial_grid().data
-    fields = [stencil(u)]
+    fields = [np.pad(stencil(u), 1)]
     for k in range(config.n_steps):
         order = sorted(range(max(0, k - slots + 1), k + 1), key=lambda e: e % slots)
         coeffs = np.array([psi[k - e] for e in order])
         rows = np.stack([fields[e] for e in order]).reshape(len(order), -1)
         total = (coeffs @ rows).reshape(u.shape)
         u = total * config.stability_ratio + u * decay
-        fields.append(stencil(u))
+        fields.append(np.pad(stencil(u), 1))
     return u
 
 
@@ -749,11 +754,11 @@ def test_run_matches_plain_expression_loop_bitwise(memory, slice_stencil):
 @pytest.mark.parametrize("beta", [0.0, 1.5])
 @pytest.mark.parametrize("memory", ["full", "short:7", "adaptive:3"])
 def test_step_leaves_the_boundary_ring_at_positive_zero(memory, beta):
-    # step() writes nothing to the new field's ring: the sum's ring adds
-    # psi(0) times the newest stencil field's +0 ring to other zeros, and the
-    # update keeps it +0, also where beta * dt = 1.5 makes the decay negative
-    # (u's +0 ring times -0.5 is -0, and +0 + -0 is +0).  Over 300 steps
-    # adaptive:3 contracts one-entry runs, whose c * +0 is -0 where c < 0.
+    # step() writes nothing to the new field's ring: the sum comes in a
+    # zeroed field, and the update keeps its ring +0, also where
+    # beta * dt = 1.5 makes the decay negative (u's +0 ring times -0.5 is
+    # -0, and +0 + -0 is +0).  Over 300 steps adaptive:3 contracts one-entry
+    # runs, whose c * +0 is -0 where c < 0, but no ring is contracted.
     config = make_config(
         gamma=0.6, beta=beta, nx=9, ny=13, n_steps=300,
         strategy=parse_memory_spec(memory),
@@ -795,6 +800,37 @@ def test_step_holds_few_fields_beyond_history(memory):
         tracemalloc.stop()
     fields = (peak - result.history_bytes) / (100 * 100 * 8)
     assert fields < 5
+
+
+@pytest.mark.parametrize(
+    "memory, ceiling",
+    [("full", 69132), ("short:100", 65687), ("adaptive:3", 167020), ("adaptive:5", 137340)],
+)
+def test_bundled_run_makes_no_more_calls_than_pinned(memory, ceiling):
+    # The deterministic twin of the stepping loop's per-step cost on the
+    # bundled 20x20 scenario, where each step's NumPy calls, not its
+    # arithmetic, set the time: Python and C calls over one run() of 1500
+    # steps.  The counts repeat exactly, in process and in a fresh one; a
+    # change that adds a call to every step adds 1500.  The collector is
+    # held off, so that no finalizer of an earlier test's garbage runs, and
+    # is counted, inside the run.
+    config = build_simulation({}, {"memory": memory}, BENCHMARK_SCENARIO)
+    _steady_short_schedule.cache_clear()
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        run(config)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert calls <= ceiling
 
 
 @pytest.mark.parametrize("base", [3, 5, 12])
